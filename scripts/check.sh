@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: build + ctest across the sanitizer matrix.
 #
-#   scripts/check.sh              # release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service
+#   scripts/check.sh              # release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service suite
 #   scripts/check.sh release asan # just those variants
 #
 # Each variant uses its own build tree (build-check-<variant>) so the
@@ -27,14 +27,23 @@
 # is selected. The service variant smokes
 # the planning-as-a-service runtime end to end: the service/MPMC test
 # suites plus a bench_service run (its determinism replay exits 2 on
-# any divergence) in both the Release and TSan trees.
+# any divergence) in both the Release and TSan trees. The suite variant
+# runs the suite benchmark (suitebench/run.py, which builds its own tree
+# under .bench_build/) the way BENCHMARK.json does: kernels-1t and
+# kernels-mt for 3 s and service-open for the full 30 s (shorter
+# service runs often fall behind their arrival schedule and exit 3),
+# each untraced and traced. It fails on a build error, on any exit
+# status other than 0 or 3, on a result with failed > 0, or on a traced
+# result that dropped trace events. Exit 3 marks an invalid run (for
+# example generator lag): the reason is printed and the run retried
+# once.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 variants=("$@")
 if [ ${#variants[@]} -eq 0 ]; then
-    variants=(release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service)
+    variants=(release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service suite)
 fi
 
 jobs=$(nproc 2>/dev/null || echo 4)
@@ -69,6 +78,44 @@ for variant in "${variants[@]}"; do
             echo "==== search-heap: ctest (${mode}) ===="
             env RTR_SEARCH=heap ctest --test-dir "${hdir}" \
                 "${htest[@]}"
+        done
+        continue
+    fi
+    if [ "${variant}" = "suite" ]; then
+        logs=".bench_build/check-suite"
+        mkdir -p "${logs}"
+        for workload in kernels-1t kernels-mt service-open; do
+            seconds=3
+            [ "${workload}" = "service-open" ] && seconds=30
+            for trace in 0 1; do
+                out="${logs}/${workload}-trace${trace}.out"
+                err="${logs}/${workload}-trace${trace}.err"
+                for attempt in 1 2; do
+                    echo "==== suite: ${workload} --trace ${trace}" \
+                         "(attempt ${attempt}) ===="
+                    status=0
+                    python3 suitebench/run.py --offered-rps 36000 \
+                        --workload "${workload}" --seed 1 \
+                        --seconds "${seconds}" --trace "${trace}" \
+                        > "${out}" 2> "${err}" || status=$?
+                    [ "${status}" -ne 3 ] && break
+                    echo "suite: invalid run (exit 3):" \
+                         "$(grep 'invalid run' "${err}" | tail -n 1)"
+                done
+                if [ "${status}" -ne 0 ]; then
+                    tail -n 20 "${err}" >&2
+                    echo "suite: ${workload} --trace ${trace} exited" \
+                         "${status}" >&2
+                    exit 1
+                fi
+                tail -n 1 "${out}" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+dropped = result["metrics"].get("bench.trace_dropped", {}).get("value", 0)
+print("suite: attempted %d, failed %d, trace_dropped %d"
+      % (result["attempted"], result["failed"], dropped))
+sys.exit(1 if result["failed"] > 0 or dropped > 0 else 0)'
+            done
         done
         continue
     fi

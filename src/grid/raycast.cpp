@@ -551,23 +551,21 @@ RayEngine
 defaultRayEngine()
 {
     static const RayEngine engine = [] {
-        // Hierarchical unless RTR_RAYCAST overrides: packet and hier
-        // both lose wall-clock to scalar on this host's benchmark
-        // maps (prefetcher-fed probes, short pyramid strides — see
-        // EXPERIMENTS.md "Ray-cast engine"), and hier is the engine
-        // whose probe elision pays on the cache-constrained targets
-        // the paper studies.
+        // Scalar unless RTR_RAYCAST overrides: it is the fastest
+        // engine on the measured benchmark maps (prefetcher-fed
+        // probes, short pyramid strides — see EXPERIMENTS.md "Ray-cast
+        // engine"), and all three return bitwise-identical ranges.
         const char *env = std::getenv("RTR_RAYCAST");
         if (env == nullptr || *env == '\0')
-            return RayEngine::Hierarchical;
+            return RayEngine::Scalar;
         RayEngine parsed;
         if (!parseRayEngine(env, parsed)) {
             // Exit 2 (not fatal()'s 1): a configuration error, not a
             // runtime failure — and a silently ignored typo would
             // quietly benchmark the wrong engine.
             std::cerr << "RTR_RAYCAST=" << env
-                      << " is not a ray engine (expected packet, hier or "
-                         "scalar)\n";
+                      << " is not a ray engine (expected scalar, the "
+                         "default, or hier or packet)\n";
             std::exit(2);
         }
         return parsed;

@@ -62,14 +62,13 @@ const char *rayEngineName(RayEngine engine);
 bool parseRayEngine(std::string_view name, RayEngine &out);
 
 /**
- * Process-wide default engine: hierarchical, unless the RTR_RAYCAST
- * environment variable names another engine (read once). The packet
- * and hier engines both lose wall-clock to scalar on this host's
- * benchmark maps (EXPERIMENTS.md "Ray-cast engine" has the sweep);
- * hier remains the default because its probe elision is the quantity
- * that converts to time on the cache-constrained targets the paper
- * studies. An
- * RTR_RAYCAST value that is not 'packet', 'hier' or 'scalar' is a
+ * Process-wide default engine: scalar, unless the RTR_RAYCAST
+ * environment variable names another engine (read once). Scalar is the
+ * fastest engine on the measured benchmark maps at 1 and 4 threads
+ * (EXPERIMENTS.md "Ray-cast engine"): the prefetcher feeds its per-cell
+ * probes, while hier's pyramid strides are short. Ranges are bitwise
+ * identical under every engine; only the probe counts differ. An
+ * RTR_RAYCAST value that is not 'scalar', 'hier' or 'packet' is a
  * configuration error and exits with status 2 — a silently ignored
  * typo would quietly benchmark the wrong engine. Explicit --raycast
  * flags override the default per run.

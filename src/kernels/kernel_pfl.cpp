@@ -72,11 +72,11 @@ PflKernel::addOptions(ArgParser &parser) const
                      "Initial position uncertainty radius (m)");
     parser.addOption("seed", "1", "Random seed");
     parser.addOption("raycast", rayEngineName(defaultRayEngine()),
-                     "Ray-cast engine: packet (octant-binned SIMD "
-                     "packets), hier (pyramid empty-region skipping) or "
-                     "scalar (probe every cell); ranges and weights are "
-                     "bitwise identical across engines. Default honours "
-                     "RTR_RAYCAST");
+                     "Ray-cast engine: scalar (probe every cell; the "
+                     "fastest measured), hier (pyramid empty-region "
+                     "skipping) or packet (octant-binned SIMD packets); "
+                     "ranges and weights are bitwise identical across "
+                     "engines. Default honours RTR_RAYCAST");
     parser.addFlag("global", "Initialize uniformly over the whole map");
     addThreadsOption(parser);
     addBatchOption(parser);
@@ -120,7 +120,7 @@ PflKernel::run(const ArgParser &args) const
     ParticleFilter filter(map, n_particles);
     RayEngine ray_engine;
     if (!parseRayEngine(args.get("raycast"), ray_engine))
-        fatal("--raycast must be 'packet', 'hier' or 'scalar'");
+        fatal("--raycast must be 'scalar', 'hier' or 'packet'");
     filter.setRayEngine(ray_engine);
     // --batch / RTR_BATCH_ENGINE force one engine for both phases;
     // otherwise each phase keeps its own default (motion SoA, weight

@@ -126,10 +126,11 @@ class ParticleFilter
 
     /**
      * Select the occupancy-query engine for measurement updates. The
-     * default comes from defaultRayEngine() (hier, or the RTR_RAYCAST
-     * override); packet traces octant-binned SIMD ray packets through
-     * the same pyramid, and scalar probes every traversed cell (the
-     * paper-faithful cost profile). Ranges, and therefore weights, are
+     * default comes from defaultRayEngine() (scalar, or the
+     * RTR_RAYCAST override): scalar probes every traversed cell (the
+     * paper-faithful cost profile), hier skips pyramid-certified empty
+     * blocks, and packet traces octant-binned SIMD ray packets through
+     * the same pyramid. Ranges, and therefore weights, are
      * bitwise identical under every engine.
      */
     void setRayEngine(RayEngine engine) { ray_engine_ = engine; }

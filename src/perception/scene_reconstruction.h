@@ -47,8 +47,11 @@ class SceneReconstructor
      * Register a new scan (camera-frame points) against the model and
      * merge it.
      *
-     * The first scan defines the world frame. Profiled phases: "icp-nn"
-     * and "icp-solve" (inside ICP) plus "merge".
+     * The first scan defines the world frame. The model is indexed
+     * once per scan ("normals-nn-build"), and that index serves both
+     * the normal estimation ("normals-nn", "normals-eigen") and the
+     * point-to-plane registration ("icp-nn", "icp-solve",
+     * "icp-apply"); then "merge".
      *
      * @return Estimated world-from-camera transform of this scan.
      */

@@ -310,12 +310,50 @@ BucketKdCore::nearest(const double *q) const
     return best;
 }
 
-void
-BucketKdCore::blockKNearest(const Block &block, const double *q,
-                            std::size_t k,
-                            std::vector<KdHit> &heap) const
+namespace {
+
+/**
+ * kNN collector for k <= kLeafCapacity: the hits stay sorted by
+ * (dist2, id), so back() is the bound a candidate must beat and the
+ * result needs no final sort. An insertion shifts at most k - 1 hits.
+ */
+struct SortedCollector
 {
-    auto update = [&](double d2, std::uint32_t id) {
+    static void
+    offer(std::vector<KdHit> &hits, std::size_t k, double d2,
+          std::uint32_t id)
+    {
+        std::size_t i = hits.size();
+        if (i < k)
+            hits.push_back(KdHit{id, d2});
+        else if (kdHitBetter(d2, id, hits.back()))
+            --i;
+        else
+            return;
+        for (; i > 0 && kdHitBetter(d2, id, hits[i - 1]); --i)
+            hits[i] = hits[i - 1];
+        hits[i] = KdHit{id, d2};
+    }
+
+    static double bound(const std::vector<KdHit> &hits)
+    {
+        return hits.back().dist2;
+    }
+
+    static void finish(std::vector<KdHit> &) {}
+};
+
+/**
+ * kNN collector above kLeafCapacity: a max-heap under (dist2, id)
+ * whose front() is the bound, sorted once at the end, so a large-k
+ * query stays O(n log k) instead of paying O(k) per insertion.
+ */
+struct HeapCollector
+{
+    static void
+    offer(std::vector<KdHit> &heap, std::size_t k, double d2,
+          std::uint32_t id)
+    {
         if (heap.size() < k) {
             heap.push_back(KdHit{id, d2});
             std::push_heap(heap.begin(), heap.end(), kdHitLess);
@@ -324,15 +362,42 @@ BucketKdCore::blockKNearest(const Block &block, const double *q,
             heap.back() = KdHit{id, d2};
             std::push_heap(heap.begin(), heap.end(), kdHitLess);
         }
+    }
+
+    static double bound(const std::vector<KdHit> &heap)
+    {
+        return heap.front().dist2;
+    }
+
+    static void
+    finish(std::vector<KdHit> &heap)
+    {
+        std::sort(heap.begin(), heap.end(), kdHitLess);
+    }
+};
+
+} // namespace
+
+template <typename Collector>
+void
+BucketKdCore::collectKNearest(const double *q, std::size_t k,
+                              std::vector<KdHit> &out) const
+{
+    auto offer = [&](double d2, std::uint32_t id) {
+        Collector::offer(out, k, d2, id);
     };
-    traverseBlock(
-        block, q,
-        [&](std::uint32_t lo, std::uint32_t hi) {
-            scanLeaf(block, lo, hi, q, update);
-        },
-        [&](double delta2) {
-            return heap.size() < k || delta2 <= heap.front().dist2;
-        });
+    for (const Block &block : blocks_) {
+        traverseBlock(
+            block, q,
+            [&](std::uint32_t lo, std::uint32_t hi) {
+                scanLeaf(block, lo, hi, q, offer);
+            },
+            [&](double delta2) {
+                return out.size() < k || delta2 <= Collector::bound(out);
+            });
+    }
+    scanPending(q, offer);
+    Collector::finish(out);
 }
 
 void
@@ -343,19 +408,10 @@ BucketKdCore::kNearestInto(const double *q, std::size_t k,
     if (k == 0)
         return;
     out.reserve(k + 1);
-    for (const Block &block : blocks_)
-        blockKNearest(block, q, k, out);
-    scanPending(q, [&](double d2, std::uint32_t id) {
-        if (out.size() < k) {
-            out.push_back(KdHit{id, d2});
-            std::push_heap(out.begin(), out.end(), kdHitLess);
-        } else if (kdHitBetter(d2, id, out.front())) {
-            std::pop_heap(out.begin(), out.end(), kdHitLess);
-            out.back() = KdHit{id, d2};
-            std::push_heap(out.begin(), out.end(), kdHitLess);
-        }
-    });
-    std::sort(out.begin(), out.end(), kdHitLess);
+    if (k <= kLeafCapacity)
+        collectKNearest<SortedCollector>(q, k, out);
+    else
+        collectKNearest<HeapCollector>(q, k, out);
 }
 
 void
@@ -405,7 +461,7 @@ BucketKdCore::kNearestBatch(const double *queries, std::size_t n_queries,
                             std::size_t k, KdHit *out) const
 {
     parallelForChunks(0, n_queries, 0, [&](const ChunkRange &chunk) {
-        std::vector<KdHit> hits; // one heap per chunk, reused
+        std::vector<KdHit> hits; // one hit buffer per chunk, reused
         hits.reserve(k + 1);
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
             kNearestInto(queries + i * dim_, k, hits);

@@ -145,8 +145,11 @@ class BucketKdCore
 
     void blockNearest(const Block &block, const double *q,
                       KdHit &best) const;
-    void blockKNearest(const Block &block, const double *q, std::size_t k,
-                       std::vector<KdHit> &heap) const;
+    /** kNN over every block and the pending buffer into out, which
+     *  Collector keeps ordered (see bucket_kdtree.cpp). */
+    template <typename Collector>
+    void collectKNearest(const double *q, std::size_t k,
+                         std::vector<KdHit> &out) const;
     void blockRadius(const Block &block, const double *q, double radius2,
                      std::vector<KdHit> &out) const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <optional>
 
 #include "linalg/decomp.h"
 #include "linalg/eigen.h"
@@ -248,15 +249,39 @@ icpRegister(const PointCloud &source, const PointCloud &target,
     return icpRegisterCore(source, target, tree, config, profiler);
 }
 
+struct PointCloudIndex::Impl
+{
+    const PointCloud &cloud;
+    TargetIndex3 tree;
+
+    Impl(const PointCloud &indexed, NnEngine engine)
+        : cloud(indexed), tree(engine)
+    {
+        tree.build(cloud);
+    }
+};
+
+PointCloudIndex::PointCloudIndex(const PointCloud &cloud, NnEngine engine)
+    : impl_(std::make_unique<Impl>(cloud, engine))
+{
+}
+
+PointCloudIndex::~PointCloudIndex() = default;
+
+const PointCloud &
+PointCloudIndex::cloud() const
+{
+    return impl_->cloud;
+}
+
 struct IcpTargetIndex::Impl
 {
     PointCloud target;
-    TargetIndex3 tree;
+    PointCloudIndex index;
 
     Impl(const PointCloud &cloud, NnEngine engine)
-        : target(cloud), tree(engine)
+        : target(cloud), index(target, engine)
     {
-        tree.build(target);
     }
 };
 
@@ -278,30 +303,39 @@ icpRegister(const PointCloud &source, const IcpTargetIndex &target,
             const IcpConfig &config, PhaseProfiler *profiler)
 {
     return icpRegisterCore(source, target.impl_->target,
-                           target.impl_->tree, config, profiler);
+                           target.impl_->index.impl_->tree, config,
+                           profiler);
 }
 
 std::vector<Vec3>
 estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
                 PhaseProfiler *profiler, NnEngine nn_engine)
 {
+    std::optional<PointCloudIndex> index;
+    {
+        ScopedPhase phase(profiler, "normals-nn-build");
+        index.emplace(cloud, nn_engine);
+    }
+    return estimateNormals(*index, k, viewpoint, profiler);
+}
+
+std::vector<Vec3>
+estimateNormals(const PointCloudIndex &index, int k, const Vec3 &viewpoint,
+                PhaseProfiler *profiler)
+{
     RTR_ASSERT(k >= 3, "normal estimation needs k >= 3");
+    const PointCloud &cloud = index.cloud();
+    const TargetIndex3 &tree = index.impl_->tree;
     const auto n_points = cloud.size();
     const auto kk = static_cast<std::size_t>(k);
 
-    // Pass 1 (irregular memory): build the index and gather every
-    // point's neighborhood.
+    // Pass 1 (irregular memory): gather every point's neighborhood.
     std::vector<std::uint32_t> neighbor_ids(n_points * kk);
-    TargetIndex3 tree(nn_engine);
-    {
-        ScopedPhase phase(profiler, "normals-nn-build");
-        tree.build(cloud);
-    }
     {
         ScopedPhase phase(profiler, "normals-nn");
         std::vector<std::array<double, 3>> queries;
         fillQueries(cloud, queries);
-        if (nn_engine == NnEngine::Bucket) {
+        if (tree.engine == NnEngine::Bucket) {
             // Batched k-NN; each query's k slots are padded by
             // repeating its last hit when the cloud is smaller than k,
             // matching the scalar path below.
@@ -334,22 +368,18 @@ estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
             for (std::size_t j = 0; j < kk; ++j)
                 mean += cloud[neighbor_ids[i * kk + j]];
             mean = mean / static_cast<double>(kk);
-            double c[3][3] = {};
+            std::array<double, 9> cov{};
             for (std::size_t j = 0; j < kk; ++j) {
                 Vec3 d = cloud[neighbor_ids[i * kk + j]] - mean;
                 const double v[3] = {d.x, d.y, d.z};
                 for (int r = 0; r < 3; ++r) {
                     for (int col = 0; col < 3; ++col)
-                        c[r][col] += v[r] * v[col];
+                        cov[r * 3 + col] += v[r] * v[col];
                 }
             }
-            Matrix cov{{c[0][0], c[0][1], c[0][2]},
-                       {c[1][0], c[1][1], c[1][2]},
-                       {c[2][0], c[2][1], c[2][2]}};
-            SymmetricEigen eig = symmetricEigen(cov);
+            const FixedSymmetricEigen<3> eig = symmetricEigenFixed<3>(cov);
             // Smallest-eigenvalue eigenvector = surface normal.
-            Vec3 n{eig.vectors(0, 2), eig.vectors(1, 2),
-                   eig.vectors(2, 2)};
+            Vec3 n{eig.vector(0, 2), eig.vector(1, 2), eig.vector(2, 2)};
             if (n.dot(viewpoint - p) < 0.0)
                 n = -n;
             normals[i] = n;
@@ -380,17 +410,27 @@ icpPointToPlane(const PointCloud &source, const PointCloud &target,
                 const std::vector<Vec3> &target_normals,
                 const IcpConfig &config, PhaseProfiler *profiler)
 {
+    std::optional<PointCloudIndex> index;
+    {
+        ScopedPhase phase(profiler, "icp-nn-build");
+        index.emplace(target, config.nn_engine);
+    }
+    return icpPointToPlane(source, *index, target_normals, config,
+                           profiler);
+}
+
+IcpResult
+icpPointToPlane(const PointCloud &source, const PointCloudIndex &index,
+                const std::vector<Vec3> &target_normals,
+                const IcpConfig &config, PhaseProfiler *profiler)
+{
+    const PointCloud &target = index.cloud();
+    const TargetIndex3 &tree = index.impl_->tree;
     RTR_ASSERT(target_normals.size() == target.size(),
                "one normal per target point required");
     RTR_ASSERT(source.size() >= 6 && target.size() >= 6,
                "point-to-plane ICP needs >= 6 points");
     IcpResult result;
-
-    TargetIndex3 tree(config.nn_engine);
-    {
-        ScopedPhase phase(profiler, "icp-nn-build");
-        tree.build(target);
-    }
 
     PointCloud moved = source;
     std::vector<std::array<double, 3>> queries; // reused per iteration

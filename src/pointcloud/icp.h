@@ -12,6 +12,7 @@
 #define RTR_POINTCLOUD_ICP_H
 
 #include <memory>
+#include <vector>
 
 #include "pointcloud/nn_engine.h"
 #include "pointcloud/point_cloud.h"
@@ -64,9 +65,49 @@ IcpResult icpRegister(const PointCloud &source, const PointCloud &target,
                       const IcpConfig &config = {},
                       PhaseProfiler *profiler = nullptr);
 
+class IcpTargetIndex;
+
 /**
- * Prebuilt immutable target for icpRegister: the target cloud plus its
- * nearest-neighbor index, built once and shared by any number of
+ * Nearest-neighbor index over a cloud the caller owns: the cloud is
+ * referenced, not copied, so it must outlive the index and stay
+ * unchanged while the index is in use. One index serves any number of
+ * estimateNormals / icpPointToPlane calls on that cloud (and any number
+ * of threads — queries are const); each per-call overload builds one
+ * of these and runs the same code, so the two are bitwise identical.
+ */
+class PointCloudIndex
+{
+  public:
+    explicit PointCloudIndex(const PointCloud &cloud,
+                             NnEngine engine = defaultNnEngine());
+    /** A temporary cloud would dangle: index a named one. */
+    PointCloudIndex(PointCloud &&cloud,
+                    NnEngine engine = defaultNnEngine()) = delete;
+    ~PointCloudIndex();
+    PointCloudIndex(const PointCloudIndex &) = delete;
+    PointCloudIndex &operator=(const PointCloudIndex &) = delete;
+
+    /** The indexed cloud. */
+    const PointCloud &cloud() const;
+
+  private:
+    friend IcpResult icpRegister(const PointCloud &,
+                                 const IcpTargetIndex &,
+                                 const IcpConfig &, PhaseProfiler *);
+    friend std::vector<Vec3> estimateNormals(const PointCloudIndex &, int,
+                                             const Vec3 &,
+                                             PhaseProfiler *);
+    friend IcpResult icpPointToPlane(const PointCloud &,
+                                     const PointCloudIndex &,
+                                     const std::vector<Vec3> &,
+                                     const IcpConfig &, PhaseProfiler *);
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
+
+/**
+ * Prebuilt immutable target for icpRegister: a copy of the target cloud
+ * plus its PointCloudIndex, built once and shared by any number of
  * registrations (and any number of threads — queries are const). This
  * is the amortized path for serving workloads where many scans
  * register against one reference model: per-call icpRegister pays the
@@ -130,6 +171,14 @@ std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
                                   NnEngine nn_engine = defaultNnEngine());
 
 /**
+ * estimateNormals of index.cloud() over a prebuilt index: bitwise the
+ * same normals, without the "normals-nn-build" phase.
+ */
+std::vector<Vec3> estimateNormals(const PointCloudIndex &index, int k,
+                                  const Vec3 &viewpoint,
+                                  PhaseProfiler *profiler = nullptr);
+
+/**
  * Point-to-plane ICP: minimizes sum((R p + t - q) . n)^2 by solving the
  * linearized 6x6 normal equations each iteration. The registration
  * method of the KinectFusion-style pipeline the paper's srec kernel
@@ -140,6 +189,17 @@ std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
  */
 IcpResult icpPointToPlane(const PointCloud &source,
                           const PointCloud &target,
+                          const std::vector<Vec3> &target_normals,
+                          const IcpConfig &config = {},
+                          PhaseProfiler *profiler = nullptr);
+
+/**
+ * icpPointToPlane onto a prebuilt index of the target: bitwise the
+ * same result, without the "icp-nn-build" phase. The index's NN engine
+ * is used (the value in @p config.nn_engine is ignored).
+ */
+IcpResult icpPointToPlane(const PointCloud &source,
+                          const PointCloudIndex &target,
                           const std::vector<Vec3> &target_normals,
                           const IcpConfig &config = {},
                           PhaseProfiler *profiler = nullptr);

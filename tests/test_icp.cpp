@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "geom/angle.h"
 #include "pointcloud/icp.h"
@@ -159,6 +160,108 @@ TEST(IcpPointToPlane, DoesNotSlideOnPlaneWithFeatures)
     config.max_iterations = 40;
     IcpResult result = icpPointToPlane(source, target, normals, config);
     EXPECT_NEAR(result.transform.translation.x, 0.08, 0.03);
+}
+
+/** Bitwise equality of two doubles. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Two consecutive living-room scans: the srec per-frame workload. */
+struct ScanPair
+{
+    PointCloud model;
+    PointCloud scan;
+};
+
+ScanPair
+livingRoomScans()
+{
+    IndoorScene scene = IndoorScene::livingRoom(3);
+    DepthCamera camera;
+    camera.width = 60;
+    camera.height = 45;
+    Rng rng(12);
+    auto trajectory = makeTrajectory(scene, 4);
+    ScanPair out;
+    out.model = simulateScan(scene, trajectory[0], camera, rng)
+                    .transformed(trajectory[0].worldFromCamera());
+    out.scan = simulateScan(scene, trajectory[1], camera, rng)
+                   .transformed(trajectory[0].worldFromCamera());
+    return out;
+}
+
+TEST(SharedIndex, NormalsAndPointToPlaneMatchPerCallBuild)
+{
+    const ScanPair scans = livingRoomScans();
+    ASSERT_GT(scans.model.size(), 1000u);
+    const Vec3 viewpoint{0.0, 0.0, 1.0};
+    for (NnEngine engine : {NnEngine::Bucket, NnEngine::Node}) {
+        SCOPED_TRACE(nnEngineName(engine));
+        IcpConfig config;
+        config.nn_engine = engine;
+        config.max_correspondence_distance = 0.4;
+
+        // Per-call builds: one index inside each function.
+        PhaseProfiler per_call_profiler;
+        const std::vector<Vec3> per_call_normals = estimateNormals(
+            scans.model, 10, viewpoint, &per_call_profiler, engine);
+        const IcpResult per_call =
+            icpPointToPlane(scans.scan, scans.model, per_call_normals,
+                            config, &per_call_profiler);
+        EXPECT_GT(per_call_profiler.phaseCount("normals-nn-build"), 0);
+        EXPECT_GT(per_call_profiler.phaseCount("icp-nn-build"), 0);
+
+        // One shared index, as SceneReconstructor::addScan uses it; the
+        // functions that take it build nothing.
+        PhaseProfiler shared_profiler;
+        const PointCloudIndex index(scans.model, engine);
+        EXPECT_EQ(&index.cloud(), &scans.model);
+        const std::vector<Vec3> shared_normals =
+            estimateNormals(index, 10, viewpoint, &shared_profiler);
+        const IcpResult shared =
+            icpPointToPlane(scans.scan, index, shared_normals, config,
+                            &shared_profiler);
+        EXPECT_EQ(shared_profiler.phaseCount("normals-nn-build"), 0);
+        EXPECT_EQ(shared_profiler.phaseCount("icp-nn-build"), 0);
+
+        ASSERT_EQ(shared_normals.size(), per_call_normals.size());
+        for (std::size_t i = 0; i < shared_normals.size(); ++i) {
+            EXPECT_TRUE(sameBits(shared_normals[i].x, per_call_normals[i].x) &&
+                        sameBits(shared_normals[i].y, per_call_normals[i].y) &&
+                        sameBits(shared_normals[i].z, per_call_normals[i].z))
+                << "normal " << i;
+        }
+        EXPECT_TRUE(sameBits(shared.rmse, per_call.rmse));
+        EXPECT_EQ(shared.iterations, per_call.iterations);
+        EXPECT_EQ(shared.converged, per_call.converged);
+        for (std::size_t i = 0; i < 9; ++i)
+            EXPECT_TRUE(sameBits(shared.transform.rotation.data()[i],
+                                 per_call.transform.rotation.data()[i]))
+                << "rotation " << i;
+        EXPECT_TRUE(sameBits(shared.transform.translation.x,
+                             per_call.transform.translation.x));
+        EXPECT_TRUE(sameBits(shared.transform.translation.y,
+                             per_call.transform.translation.y));
+        EXPECT_TRUE(sameBits(shared.transform.translation.z,
+                             per_call.transform.translation.z));
+    }
+}
+
+TEST(SharedIndex, EnginesAgreeOnNormals)
+{
+    const ScanPair scans = livingRoomScans();
+    const PointCloudIndex bucket(scans.model, NnEngine::Bucket);
+    const PointCloudIndex node(scans.model, NnEngine::Node);
+    const std::vector<Vec3> a = estimateNormals(bucket, 10, {0, 0, 1});
+    const std::vector<Vec3> b = estimateNormals(node, 10, {0, 0, 1});
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_TRUE(sameBits(a[i].x, b[i].x) && sameBits(a[i].y, b[i].y) &&
+                    sameBits(a[i].z, b[i].z))
+            << "normal " << i;
 }
 
 TEST(SceneGen, LivingRoomIsDeterministic)

@@ -303,6 +303,133 @@ TEST(BucketKdTree, AllDuplicatePointsTieBreakBySmallestId)
         EXPECT_EQ(br[i].id, i);
 }
 
+/** The k values that straddle the sorted / heap kNN collectors. */
+constexpr std::size_t kCollectorKs[] = {1, 4, 10, 32, 33, 200};
+
+/**
+ * n random 3-D points where every fifth one repeats an earlier point
+ * exactly, so kNN results hinge on the id tie-break.
+ */
+std::vector<std::array<double, 3>>
+pointsWithDuplicates(std::size_t n, Rng &rng)
+{
+    std::vector<std::array<double, 3>> points(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i >= 5 && i % 5 == 0) {
+            points[i] = points[rng.index(i)];
+            continue;
+        }
+        for (double &v : points[i])
+            v = rng.uniform(-3.0, 3.0);
+    }
+    return points;
+}
+
+TEST(BucketKdTree, KNearestCollectorsMatchNodeEngine)
+{
+    Rng rng(515);
+    // 1500 bulk-built points plus 45 inserts: one flushed block and 13
+    // still in the pending buffer.
+    const auto points = pointsWithDuplicates(1545, rng);
+    BucketKdTree<3> bucket;
+    KdTree<3> node;
+    const std::vector<std::array<double, 3>> bulk(points.begin(),
+                                                  points.begin() + 1500);
+    bucket.build(bulk);
+    node.build(bulk);
+    for (std::size_t i = 1500; i < points.size(); ++i) {
+        bucket.insert(points[i], static_cast<std::uint32_t>(i));
+        node.insert(points[i], static_cast<std::uint32_t>(i));
+    }
+
+    std::vector<KdHit> got;
+    for (std::size_t k : kCollectorKs) {
+        for (int q = 0; q < 60; ++q) {
+            // Half the queries sit on stored points (duplicates tie).
+            const std::array<double, 3> query =
+                q % 2 == 0 ? points[rng.index(points.size())]
+                           : std::array<double, 3>{rng.uniform(-3.5, 3.5),
+                                                   rng.uniform(-3.5, 3.5),
+                                                   rng.uniform(-3.5, 3.5)};
+            bucket.kNearestInto(query, k, got);
+            expectSameHits(got, node.kNearest(query, k), "kNearest");
+            if (::testing::Test::HasFailure())
+                FAIL() << "k=" << k << " query " << q;
+        }
+    }
+}
+
+TEST(DynBucketKdTree, KNearestCollectorsMatchNodeEngine)
+{
+    Rng rng(616);
+    const std::size_t dim = 4;
+    DynBucketKdTree bucket(dim);
+    DynKdTree node(dim);
+    std::vector<std::vector<double>> points;
+    // Inserts only: flushed blocks of every level plus a pending tail
+    // (1000 = 31 * 32 + 8), with exact duplicates mixed in.
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+        auto p = i >= 5 && i % 5 == 0 ? points[rng.index(points.size())]
+                                       : randomPoint(dim, rng, -2.0, 2.0);
+        bucket.insert(p, i);
+        node.insert(p, i);
+        points.push_back(std::move(p));
+    }
+
+    std::vector<KdHit> got, want;
+    for (std::size_t k : kCollectorKs) {
+        for (int q = 0; q < 60; ++q) {
+            const auto query = q % 2 == 0
+                                   ? points[rng.index(points.size())]
+                                   : randomPoint(dim, rng, -2.5, 2.5);
+            bucket.kNearestInto(query, k, got);
+            node.kNearestInto(query, k, want);
+            expectSameHits(got, want, "dyn kNearest");
+            if (::testing::Test::HasFailure())
+                FAIL() << "k=" << k << " query " << q;
+        }
+    }
+}
+
+TEST(BucketKdTree, KNearestBatchPadsLikeNodeEngineForEveryK)
+{
+    // 40 points: 32 flushed into a block, 8 pending. Every k from the
+    // collector list, including k > size(), where each query's slots
+    // past its last real hit repeat that hit.
+    Rng rng(717);
+    const auto points = pointsWithDuplicates(40, rng);
+    BucketKdTree<3> bucket;
+    KdTree<3> node;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        bucket.insert(points[i], static_cast<std::uint32_t>(i));
+        node.insert(points[i], static_cast<std::uint32_t>(i));
+    }
+    std::vector<std::array<double, 3>> queries(25);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        queries[i] = i % 2 == 0 ? points[i]
+                                : std::array<double, 3>{
+                                      rng.uniform(-3.0, 3.0),
+                                      rng.uniform(-3.0, 3.0),
+                                      rng.uniform(-3.0, 3.0)};
+
+    std::vector<KdHit> batch;
+    for (std::size_t k : kCollectorKs) {
+        bucket.kNearestBatch(queries, k, batch);
+        ASSERT_EQ(batch.size(), queries.size() * k);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            const std::vector<KdHit> want = node.kNearest(queries[i], k);
+            ASSERT_EQ(want.size(), std::min(k, points.size()));
+            for (std::size_t j = 0; j < k; ++j) {
+                const KdHit &expect = want[std::min(j, want.size() - 1)];
+                EXPECT_EQ(batch[i * k + j].id, expect.id)
+                    << "k=" << k << " query " << i << " slot " << j;
+                EXPECT_EQ(batch[i * k + j].dist2, expect.dist2)
+                    << "k=" << k << " query " << i << " slot " << j;
+            }
+        }
+    }
+}
+
 TEST(DynNnIndex, EnginesAgreeThroughDispatch)
 {
     Rng rng(11);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "kernels/registry.h"
 
 namespace rtr {
@@ -113,32 +115,60 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelMetrics, BottlenecksMatchTableOne)
 {
-    // Spot-check that each kernel's dominant phase metric exists and is
-    // a meaningful fraction, per Table I.
-    auto expect_metric = [](const std::string &kernel,
-                            const std::string &metric, double min_value,
-                            std::vector<std::string> config) {
+    // Each kernel's Table I bottleneck, asserted on deterministic work
+    // counters (exact at any load, unlike wall-clock phase shares). The
+    // time shares themselves are printed by bench_table1.
+    auto run = [](const std::string &kernel,
+                  std::vector<std::string> config) {
         KernelReport report =
             makeKernel(kernel)->runWithDefaults(std::move(config));
-        ASSERT_TRUE(report.metrics.count(metric))
-            << kernel << " lacks " << metric;
-        EXPECT_GE(report.metrics.at(metric), min_value)
-            << kernel << "." << metric;
+        EXPECT_TRUE(report.success) << kernel;
+        return report;
+    };
+    auto metric = [](const KernelReport &report, const std::string &name) {
+        EXPECT_TRUE(report.metrics.count(name)) << "missing " << name;
+        return report.metrics.count(name) ? report.metrics.at(name) : 0.0;
     };
 
-    // The Table-I profile was measured probing every traversed cell, so
-    // reproduce it with the scalar ray-cast engine; the hierarchical
-    // engine exists precisely to shrink this fraction.
-    expect_metric("pfl", "raycast_fraction", 0.5,
-                  {"--particles", "300", "--steps", "20", "--raycast",
-                   "scalar"});
-    expect_metric("ekfslam", "matrix_ops_fraction", 0.7,
-                  {"--steps", "150"});
-    expect_metric("pp2d", "collision_fraction", 0.5,
-                  {"--map-size", "256"});
-    expect_metric("rrt", "collision_fraction", 0.3, {});
-    expect_metric("mpc", "optimize_fraction", 0.8,
-                  {"--ref-points", "30"});
+    // pfl — ray-casting: every particle casts every beam each step, and
+    // each ray probes >= 10 cells on the scalar engine (the cost profile
+    // Table I measured), against one likelihood evaluation per ray in
+    // the weight phase and O(1) work per particle in motion/resample.
+    KernelReport pfl = run("pfl", {"--particles", "300", "--steps", "20",
+                                   "--raycast", "scalar"});
+    EXPECT_EQ(metric(pfl, "rays_cast"), 300.0 * 60.0 * 20.0);
+    EXPECT_GE(metric(pfl, "probes_per_ray_scalar"), 10.0);
+
+    // ekfslam — matrix operations: every predict and update step runs
+    // inside the matrix-ops phase, which is the only phase there is.
+    KernelReport ekf = run("ekfslam", {"--steps", "150"});
+    ASSERT_EQ(ekf.profiler.phases().size(), 1u);
+    EXPECT_EQ(ekf.profiler.phases().front().name, "matrix-ops");
+    EXPECT_GE(ekf.profiler.phaseCount("matrix-ops"), 150);
+
+    // pp2d — collision detection: each expansion footprint-checks ~8
+    // successors against one open-list pop.
+    KernelReport pp2d = run("pp2d", {"--map-size", "256"});
+    EXPECT_EQ(pp2d.profiler.phaseCount("collision"),
+              static_cast<std::int64_t>(metric(pp2d, "expanded")));
+    EXPECT_GE(metric(pp2d, "collision_checks"),
+              7.0 * metric(pp2d, "expanded"));
+
+    // rrt — collision detection: each sample pays one NN query but
+    // several configuration collision checks along its extension.
+    KernelReport rrt = run("rrt", {});
+    EXPECT_EQ(rrt.profiler.phaseCount("nn-search"),
+              static_cast<std::int64_t>(metric(rrt, "samples")));
+    EXPECT_GE(metric(rrt, "collision_checks"),
+              3.0 * metric(rrt, "samples"));
+
+    // mpc — optimization: each control step evaluates >= 1000 rollout
+    // costs against one simulated plant step.
+    KernelReport mpc = run("mpc", {"--ref-points", "30"});
+    const auto steps = mpc.profiler.phaseCount("simulate");
+    EXPECT_GT(steps, 0);
+    EXPECT_EQ(mpc.profiler.phaseCount("optimize"), steps);
+    EXPECT_GE(metric(mpc, "cost_evals"), 1000.0 * static_cast<double>(steps));
 }
 
 TEST(KernelSeries, FigureDataIsEmitted)

@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "linalg/decomp.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
+#include "pointcloud/icp.h"
 #include "util/rng.h"
 
 namespace rtr {
@@ -252,6 +259,171 @@ TEST(Eigen, EigenpairsSatisfyDefinition)
         Matrix av = spd * v;
         Matrix lv = v * eig.values[j];
         EXPECT_TRUE(av.approxEquals(lv, 1e-7));
+    }
+}
+
+// ---- Fixed-size Jacobi (symmetricEigenFixed) --------------------------
+//
+// The inputs below come from raw mt19937_64 bits, not from
+// std::uniform_real_distribution, so they are the same under every
+// standard library and the digests can be pinned.
+
+/** Uniform double in [lo, hi) from raw mt19937_64 bits. */
+double
+bitsUniform(std::mt19937_64 &engine, double lo, double hi)
+{
+    const double unit = static_cast<double>(engine() >> 11) * 0x1p-53;
+    return lo + (hi - lo) * unit;
+}
+
+/** Random symmetric 3x3 (row-major) with entries over 12 decades. */
+std::array<double, 9>
+randomSymmetric3(std::mt19937_64 &engine)
+{
+    static constexpr double kScales[] = {1e-6, 1e-3, 1.0, 1e3, 1e6};
+    const double scale = kScales[engine() % 5];
+    std::array<double, 9> a{};
+    for (std::size_t r = 0; r < 3; ++r) {
+        for (std::size_t c = r; c < 3; ++c) {
+            a[r * 3 + c] = scale * bitsUniform(engine, -1.0, 1.0);
+            a[c * 3 + r] = a[r * 3 + c];
+        }
+    }
+    return a;
+}
+
+/** FNV-1a over the bit patterns of a run of doubles. */
+std::uint64_t
+fnv1a(std::uint64_t h, const double *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(v[i]);
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (bits >> b) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/** Bitwise equality of two doubles (distinguishes -0.0 and NaNs). */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** symmetricEigenFixed<3> against symmetricEigen, bit for bit. */
+void
+expectFixedMatchesDynamic(const std::array<double, 9> &a)
+{
+    Matrix m(3, 3);
+    std::copy(a.begin(), a.end(), m.data());
+    const SymmetricEigen dyn = symmetricEigen(m);
+    const FixedSymmetricEigen<3> fixed = symmetricEigenFixed<3>(a);
+    for (std::size_t j = 0; j < 3; ++j) {
+        EXPECT_TRUE(sameBits(fixed.values[j], dyn.values[j]))
+            << "value " << j << ": " << fixed.values[j] << " vs "
+            << dyn.values[j];
+        for (std::size_t i = 0; i < 3; ++i)
+            EXPECT_TRUE(sameBits(fixed.vector(i, j), dyn.vectors(i, j)))
+                << "vector (" << i << "," << j << ")";
+    }
+}
+
+TEST(EigenFixed, BitwiseMatchesDynamicOnRandomInputs)
+{
+    for (bool simd : {true, false}) {
+        ScopedSimdKernels scope(simd);
+        std::mt19937_64 engine(99);
+        for (int i = 0; i < 10000; ++i) {
+            expectFixedMatchesDynamic(randomSymmetric3(engine));
+            if (::testing::Test::HasFailure())
+                FAIL() << "case " << i << " simd=" << simd;
+        }
+    }
+}
+
+TEST(EigenFixed, BitwiseMatchesDynamicOnDegenerateInputs)
+{
+    // Rank-1: v vᵀ.
+    const double v[3] = {0.3, -1.7, 2.2};
+    std::array<double, 9> rank1{};
+    for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+            rank1[r * 3 + c] = v[r] * v[c];
+    const std::vector<std::array<double, 9>> cases{
+        // Zero, diagonal, and repeated eigenvalues.
+        {0, 0, 0, 0, 0, 0, 0, 0, 0},
+        {3, 0, 0, 0, -1, 0, 0, 0, 2},
+        {2, 0, 0, 0, 2, 0, 0, 0, 2},
+        {1, 0, 0, 0, 5, 0, 0, 0, 1},
+        {2, 1, 1, 1, 2, 1, 1, 1, 2},       // eigenvalues 4, 1, 1
+        {1, 0, 0, 0, 1.5, 0.5, 0, 0.5, 1.5}, // eigenvalues 2, 1, 1
+        rank1,
+        // Off-diagonals at, just below and just above the 1e-300 skip
+        // cutoff, subnormal couplings, and signed zeros.
+        {1, 1e-300, 0, 1e-300, 2, 0, 0, 0, 3},
+        {1, 5e-301, -1e-299, 5e-301, 1, 2e-300, -1e-299, 2e-300, 1},
+        {4, 1e-310, 1e-310, 1e-310, 4, 1e-310, 1e-310, 1e-310, 4},
+        {1e-300, 1e-300, 0, 1e-300, 1e-300, 0, 0, 0, 1e-300},
+        {-0.0, 0, 0, 0, 0.0, 0, 0, 0, -0.0},
+    };
+    for (bool simd : {true, false}) {
+        ScopedSimdKernels scope(simd);
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "case " << i << " simd=" << simd);
+            expectFixedMatchesDynamic(cases[i]);
+        }
+    }
+}
+
+TEST(EigenFixed, DynamicAndHornPathsMatchPinnedDigests)
+{
+    // Digests of the symmetricEigen outputs on 10000 random 3x3 inputs
+    // and of bestRigidTransform (Horn's 4x4 quaternion eigensolve) on
+    // 200 random correspondence sets, recorded from the Matrix-based
+    // Jacobi that preceded the shared fixed/dynamic loop. Any change
+    // to the floating-point operations or their order moves them.
+    constexpr std::uint64_t kEigenDigest = 0x2d0487a5a3065c11ULL;
+    constexpr std::uint64_t kHornDigest = 0xda04771278b40c8eULL;
+    for (bool simd : {true, false}) {
+        ScopedSimdKernels scope(simd);
+        std::mt19937_64 engine(2024);
+        std::uint64_t eigen = kFnvOffset;
+        for (int i = 0; i < 10000; ++i) {
+            const std::array<double, 9> a = randomSymmetric3(engine);
+            Matrix m(3, 3);
+            std::copy(a.begin(), a.end(), m.data());
+            const SymmetricEigen eig = symmetricEigen(m);
+            eigen = fnv1a(eigen, eig.values.data(), 3);
+            eigen = fnv1a(eigen, eig.vectors.data(), 9);
+        }
+        EXPECT_EQ(eigen, kEigenDigest) << "simd=" << simd;
+
+        std::mt19937_64 horn_engine(7);
+        std::uint64_t horn = kFnvOffset;
+        for (int i = 0; i < 200; ++i) {
+            const std::size_t n = 3 + horn_engine() % 60;
+            std::vector<Vec3> source(n), target(n);
+            for (std::size_t j = 0; j < n; ++j) {
+                source[j] = {bitsUniform(horn_engine, -2, 2),
+                             bitsUniform(horn_engine, -2, 2),
+                             bitsUniform(horn_engine, -2, 2)};
+                target[j] = {source[j].y + bitsUniform(horn_engine, -0.1, 0.1),
+                             -source[j].x + bitsUniform(horn_engine, -0.1, 0.1),
+                             source[j].z + 0.5};
+            }
+            const RigidTransform3 t = bestRigidTransform(source, target);
+            horn = fnv1a(horn, t.rotation.data(), 9);
+            const double tr[3] = {t.translation.x, t.translation.y,
+                                  t.translation.z};
+            horn = fnv1a(horn, tr, 3);
+        }
+        EXPECT_EQ(horn, kHornDigest) << "simd=" << simd;
     }
 }
 

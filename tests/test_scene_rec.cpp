@@ -97,5 +97,24 @@ TEST(SceneRec, ProfilerCoversPipelinePhases)
     EXPECT_GT(profiler.phaseNs("normals-eigen"), 0);
 }
 
+TEST(SceneRec, BuildsOneModelIndexPerFrame)
+{
+    IndoorScene scene = IndoorScene::livingRoom(5);
+    DepthCamera camera;
+    camera.width = 40;
+    camera.height = 30;
+    Rng rng(6);
+    SceneReconstructor rec;
+    PhaseProfiler profiler;
+    auto trajectory = makeTrajectory(scene, 4);
+    for (const CameraPose &pose : trajectory)
+        rec.addScan(simulateScan(scene, pose, camera, rng), &profiler);
+    // The first scan only seeds the model; each later one indexes the
+    // model once for both normals and registration.
+    EXPECT_EQ(profiler.phaseCount("normals-nn-build"), 3);
+    EXPECT_EQ(profiler.phaseCount("icp-nn-build"), 0);
+    EXPECT_EQ(profiler.phaseCount("normals-nn"), 3);
+}
+
 } // namespace
 } // namespace rtr
