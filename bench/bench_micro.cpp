@@ -26,6 +26,7 @@
 #include "linalg/matrix.h"
 #include "pointcloud/dyn_kdtree.h"
 #include "symbolic/blocks_world.h"
+#include "symbolic/firefight.h"
 #include "symbolic/planner.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -337,6 +338,37 @@ BM_SymbolicApply(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SymbolicApply);
+
+/**
+ * One hAdd evaluation, cycling over the first 256 breadth-first states
+ * of sym-fext's default instance (12 waypoints), with the scratch reused
+ * as plan() reuses it.
+ */
+void
+BM_SymbolicHAdd(benchmark::State &state)
+{
+    SymbolicProblem problem = makeFirefight(12);
+    SymbolicPlanner planner(problem);
+    std::vector<SymbolicState> states{problem.initial};
+    for (std::size_t i = 0; i < states.size() && states.size() < 256; ++i) {
+        const SymbolicState from = states[i];
+        for (const GroundAction &action : planner.actions()) {
+            if (!action.applicable(from))
+                continue;
+            SymbolicState next = action.apply(from);
+            if (std::find(states.begin(), states.end(), next) ==
+                states.end())
+                states.push_back(std::move(next));
+        }
+    }
+    states.resize(std::min<std::size_t>(states.size(), 256));
+    SymbolicPlanner::HAddScratch scratch;
+    std::size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            planner.heuristicValue(states[i++ % states.size()], scratch));
+}
+BENCHMARK(BM_SymbolicHAdd);
 
 void
 BM_ChamferDistanceTransform(benchmark::State &state)

@@ -1,8 +1,11 @@
 #include "kernels/kernel_sym.h"
 
+#include <cmath>
+
 #include "symbolic/blocks_world.h"
 #include "symbolic/firefight.h"
 #include "symbolic/planner.h"
+#include "util/logging.h"
 #include "util/roi.h"
 #include "util/stopwatch.h"
 
@@ -17,9 +20,17 @@ runSymbolic(const SymbolicProblem &problem, const ArgParser &args)
     KernelReport report;
     SymbolicPlannerConfig config;
     config.epsilon = args.getDouble("epsilon");
-    config.heuristic = args.get("heuristic") == "goal-count"
-                           ? SymbolicPlannerConfig::Heuristic::GoalCount
-                           : SymbolicPlannerConfig::Heuristic::HAdd;
+    if (!std::isfinite(config.epsilon) || config.epsilon < 1.0)
+        fatal("--epsilon must be a finite number >= 1, got '",
+              args.get("epsilon"), "'");
+    const std::string heuristic_name = args.get("heuristic");
+    if (heuristic_name == "hadd")
+        config.heuristic = SymbolicPlannerConfig::Heuristic::HAdd;
+    else if (heuristic_name == "goal-count")
+        config.heuristic = SymbolicPlannerConfig::Heuristic::GoalCount;
+    else
+        fatal("--heuristic must be 'hadd' or 'goal-count', got '",
+              heuristic_name, "'");
 
     SymbolicPlanner planner(problem, config);
 
@@ -65,9 +76,12 @@ SymBlkwKernel::addOptions(ArgParser &parser) const
 KernelReport
 SymBlkwKernel::run(const ArgParser &args) const
 {
-    SymbolicProblem problem = makeBlocksWorld(
-        static_cast<int>(args.getInt("blocks")),
-        static_cast<std::uint64_t>(args.getInt("seed")));
+    std::int64_t blocks = args.getInt("blocks");
+    if (blocks < 2)
+        fatal("--blocks must be >= 2, got ", blocks);
+    SymbolicProblem problem =
+        makeBlocksWorld(static_cast<int>(blocks),
+                        static_cast<std::uint64_t>(args.getInt("seed")));
     return runSymbolic(problem, args);
 }
 
@@ -84,8 +98,10 @@ SymFextKernel::addOptions(ArgParser &parser) const
 KernelReport
 SymFextKernel::run(const ArgParser &args) const
 {
-    SymbolicProblem problem =
-        makeFirefight(static_cast<int>(args.getInt("waypoints")));
+    std::int64_t waypoints = args.getInt("waypoints");
+    if (waypoints < 2)
+        fatal("--waypoints must be >= 2, got ", waypoints);
+    SymbolicProblem problem = makeFirefight(static_cast<int>(waypoints));
     return runSymbolic(problem, args);
 }
 

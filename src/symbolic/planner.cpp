@@ -1,70 +1,112 @@
 #include "symbolic/planner.h"
 
 #include <limits>
-#include <unordered_map>
 
 #include "search/min_heap.h"
 #include "util/logging.h"
 
 namespace rtr {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::max() / 4.0;
+
+} // namespace
+
 SymbolicPlanner::SymbolicPlanner(const SymbolicProblem &problem,
                                  const SymbolicPlannerConfig &config)
     : problem_(problem), config_(config), actions_(groundActions(problem))
 {
+    auto id_of = [&](const Atom &atom) {
+        auto [it, inserted] = atom_ids_.try_emplace(
+            atom, static_cast<std::uint32_t>(atom_ids_.size()));
+        if (inserted)
+            needed_by_.emplace_back();
+        return it->second;
+    };
+
+    pre_count_.reserve(actions_.size());
+    add_ids_.reserve(actions_.size());
+    for (std::size_t a = 0; a < actions_.size(); ++a) {
+        const GroundAction &action = actions_[a];
+        for (const Atom &pre : action.pre_pos)
+            needed_by_[id_of(pre)].push_back(static_cast<std::uint32_t>(a));
+        pre_count_.push_back(
+            static_cast<std::uint32_t>(action.pre_pos.size()));
+        if (action.pre_pos.empty())
+            free_actions_.push_back(static_cast<std::uint32_t>(a));
+        std::vector<std::uint32_t> adds;
+        adds.reserve(action.eff_add.size());
+        for (const Atom &eff : action.eff_add)
+            adds.push_back(id_of(eff));
+        add_ids_.push_back(std::move(adds));
+    }
+    for (const Atom &goal_atom : problem_.goal)
+        goal_ids_.push_back(id_of(goal_atom));
 }
 
 double
-SymbolicPlanner::heuristicValue(const SymbolicState &state) const
+SymbolicPlanner::heuristicValue(const SymbolicState &state,
+                                HAddScratch &scratch) const
 {
     if (config_.heuristic == SymbolicPlannerConfig::Heuristic::GoalCount)
         return static_cast<double>(state.countMissing(problem_.goal));
 
-    // hAdd: delete-relaxation fixpoint. Atom costs start at 0 for atoms
-    // in the state; each action whose positive preconditions are all
-    // reached makes its add effects reachable at (sum of precondition
-    // costs) + 1.
-    constexpr double kInf = std::numeric_limits<double>::max() / 4.0;
-    std::unordered_map<Atom, double> cost;
-    cost.reserve(state.atoms().size() * 2);
-    for (const Atom &atom : state.atoms())
-        cost[atom] = 0.0;
+    // hAdd: atoms in the state cost 0; an action whose positive
+    // preconditions are all reached makes its add effects reachable at
+    // (sum of precondition costs) + 1. Atoms settle in cost order, so
+    // each action fires once, when its last precondition settles.
+    std::vector<double> &cost = scratch.atom_cost;
+    std::vector<std::uint32_t> &unsatisfied = scratch.unsatisfied;
+    std::vector<double> &pre_sum = scratch.pre_sum;
+    auto &buckets = scratch.buckets;
+    cost.assign(atom_ids_.size(), kInf);
+    unsatisfied.assign(pre_count_.begin(), pre_count_.end());
+    pre_sum.assign(actions_.size(), 0.0);
+    for (auto &bucket : buckets)
+        bucket.clear();
 
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const GroundAction &action : actions_) {
-            double pre_sum = 0.0;
-            bool reachable = true;
-            for (const Atom &pre : action.pre_pos) {
-                auto it = cost.find(pre);
-                if (it == cost.end()) {
-                    reachable = false;
-                    break;
-                }
-                pre_sum += it->second;
-            }
-            if (!reachable)
-                continue;
-            double action_cost = pre_sum + 1.0;
-            for (const Atom &eff : action.eff_add) {
-                auto [it, inserted] = cost.emplace(eff, action_cost);
-                if (!inserted && action_cost < it->second) {
-                    it->second = action_cost;
-                    changed = true;
-                } else if (inserted) {
-                    changed = true;
-                }
+    auto reach = [&](std::uint32_t atom, double c) {
+        if (c >= cost[atom])
+            return;
+        cost[atom] = c;
+        auto slot = static_cast<std::size_t>(c);
+        if (slot >= buckets.size())
+            buckets.resize(slot + 1);
+        buckets[slot].push_back(atom);
+    };
+    auto fire = [&](std::uint32_t a) {
+        for (std::uint32_t eff : add_ids_[a])
+            reach(eff, pre_sum[a] + 1.0);
+    };
+
+    for (const Atom &atom : state.atoms()) {
+        auto it = atom_ids_.find(atom);
+        if (it != atom_ids_.end())
+            reach(it->second, 0.0);
+    }
+    for (std::uint32_t a : free_actions_)
+        fire(a);
+
+    for (std::size_t c = 0; c < buckets.size(); ++c) {
+        // Index, not iterator: firing may grow `buckets`.
+        for (std::size_t i = 0; i < buckets[c].size(); ++i) {
+            std::uint32_t atom = buckets[c][i];
+            if (cost[atom] != static_cast<double>(c))
+                continue;  // settled earlier at a lower cost
+            for (std::uint32_t a : needed_by_[atom]) {
+                pre_sum[a] += cost[atom];
+                if (--unsatisfied[a] == 0)
+                    fire(a);
             }
         }
     }
 
     double h = 0.0;
-    for (const Atom &goal_atom : problem_.goal) {
-        auto it = cost.find(goal_atom);
-        if (it == cost.end())
+    for (std::uint32_t g : goal_ids_) {
+        if (cost[g] == kInf)
             return kInf;
-        h += it->second;
+        h += cost[g];
     }
     return h;
 }
@@ -97,24 +139,33 @@ SymbolicPlanner::plan(PhaseProfiler *profiler) const
         return it->second;
     };
 
+    HAddScratch scratch;
     MinHeap<std::uint32_t> open;
     std::uint32_t start_id = intern(problem_.initial);
     {
         ScopedPhase phase(profiler, "heuristic");
-        open.push(config_.epsilon * heuristicValue(problem_.initial),
+        open.push(config_.epsilon *
+                      heuristicValue(problem_.initial, scratch),
                   start_id);
     }
 
     std::size_t applicable_total = 0;
+    auto finish = [&]() {
+        if (result.expanded)
+            result.avg_applicable_actions =
+                static_cast<double>(applicable_total) /
+                static_cast<double>(result.expanded);
+        return result;
+    };
 
     while (!open.empty()) {
         auto [key, id] = open.pop();
         if (info[id].closed)
             continue;
+        if (result.expanded == config_.max_expansions)
+            return finish();
         info[id].closed = true;
         ++result.expanded;
-        if (result.expanded > config_.max_expansions)
-            return result;
 
         // Copy: interning successors may grow `states`.
         const SymbolicState state = states[id];
@@ -129,11 +180,7 @@ SymbolicPlanner::plan(PhaseProfiler *profiler) const
                 reversed.push_back(actions_[info[cur].via_action].name);
             }
             result.plan.assign(reversed.rbegin(), reversed.rend());
-            if (result.expanded)
-                result.avg_applicable_actions =
-                    static_cast<double>(applicable_total) /
-                    static_cast<double>(result.expanded);
-            return result;
+            return finish();
         }
 
         // Successor generation: applicability tests + effect
@@ -157,17 +204,13 @@ SymbolicPlanner::plan(PhaseProfiler *profiler) const
                 double h;
                 {
                     ScopedPhase h_phase(profiler, "heuristic");
-                    h = heuristicValue(next);
+                    h = heuristicValue(next, scratch);
                 }
                 open.push(candidate + config_.epsilon * h, next_id);
             }
         }
     }
-    if (result.expanded)
-        result.avg_applicable_actions =
-            static_cast<double>(applicable_total) /
-            static_cast<double>(result.expanded);
-    return result;
+    return finish();
 }
 
 } // namespace rtr

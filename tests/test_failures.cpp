@@ -84,6 +84,36 @@ TEST(FailuresDeathTest, UnknownKernelIsFatal)
                 "unknown kernel");
 }
 
+TEST(FailuresDeathTest, SymbolicHeuristicTypoIsFatal)
+{
+    auto kernel = makeKernel("sym-blkw");
+    EXPECT_EXIT(kernel->runWithDefaults({"--heuristic", "hdd"}),
+                ::testing::ExitedWithCode(1),
+                "--heuristic must be 'hadd' or 'goal-count'");
+}
+
+TEST(FailuresDeathTest, SymbolicBadEpsilonIsFatal)
+{
+    for (const char *name : {"sym-blkw", "sym-fext"}) {
+        auto kernel = makeKernel(name);
+        for (const char *epsilon : {"nan", "inf", "0.5", "-1"}) {
+            EXPECT_EXIT(kernel->runWithDefaults({"--epsilon", epsilon}),
+                        ::testing::ExitedWithCode(1),
+                        "--epsilon must be a finite number >= 1")
+                << name << " --epsilon " << epsilon;
+        }
+    }
+}
+
+TEST(FailuresDeathTest, SymbolicTooFewObjectsIsFatal)
+{
+    EXPECT_EXIT(makeKernel("sym-blkw")->runWithDefaults({"--blocks", "1"}),
+                ::testing::ExitedWithCode(1), "--blocks must be >= 2");
+    EXPECT_EXIT(
+        makeKernel("sym-fext")->runWithDefaults({"--waypoints", "-3"}),
+        ::testing::ExitedWithCode(1), "--waypoints must be >= 2");
+}
+
 TEST(FailuresDeathTest, QuantileOfEmptySetPanics)
 {
     EXPECT_DEATH(quantile({}, 0.5), "empty sample set");
