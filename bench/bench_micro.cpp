@@ -25,6 +25,8 @@
 #include "grid/distance_transform.h"
 #include "linalg/matrix.h"
 #include "pointcloud/dyn_kdtree.h"
+#include "search/grid_planner2d.h"
+#include "service/world.h"
 #include "symbolic/blocks_world.h"
 #include "symbolic/firefight.h"
 #include "symbolic/planner.h"
@@ -122,6 +124,79 @@ BM_FootprintCollision(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FootprintCollision);
+
+/**
+ * One pp2d state check on the service World's grid, cycling over
+ * every (cell, heading): the footprint sweep (one collides() call)
+ * against the World's validity planes (one bit read). Cells whose
+ * center is occupied are included, though stateValid() rejects them
+ * before the sweep.
+ */
+const service::World &
+serviceWorld()
+{
+    static const service::World world;
+    return world;
+}
+
+void
+BM_ServiceStateCheckSweep(benchmark::State &state)
+{
+    const service::World &world = serviceWorld();
+    const OccupancyGrid2D &grid = world.grid();
+    const RectFootprint footprint = world.footprint();
+    const auto &headings = GridPlanner2D::moveHeadings();
+    std::vector<Pose2> poses;
+    for (int y = 0; y < grid.height(); ++y) {
+        for (int x = 0; x < grid.width(); ++x) {
+            const Vec2 center = grid.cellCenter({x, y});
+            for (double heading : headings)
+                poses.push_back(Pose2{center.x, center.y, heading});
+        }
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            footprint.collides(grid, poses[i++ % poses.size()]));
+    }
+}
+BENCHMARK(BM_ServiceStateCheckSweep);
+
+void
+BM_ServiceStateCheckPlanes(benchmark::State &state)
+{
+    const service::World &world = serviceWorld();
+    const FootprintPlanes &planes = *world.footprintPlanes();
+    struct State
+    {
+        int heading, x, y;
+    };
+    std::vector<State> states;
+    for (int y = 0; y < world.grid().height(); ++y) {
+        for (int x = 0; x < world.grid().width(); ++x) {
+            for (int h = 0; h < FootprintPlanes::kHeadings; ++h)
+                states.push_back({h, x, y});
+        }
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const State &s = states[i++ % states.size()];
+        benchmark::DoNotOptimize(planes.blocked(s.heading, s.x, s.y));
+    }
+}
+BENCHMARK(BM_ServiceStateCheckPlanes);
+
+void
+BM_FootprintPlanesBuild(benchmark::State &state)
+{
+    const service::World &world = serviceWorld();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(FootprintPlanes::build(
+            world.grid(), world.footprint(),
+            GridPlanner2D::moveHeadings()));
+    }
+}
+BENCHMARK(BM_FootprintPlanesBuild);
 
 void
 BM_L2Norm5D(benchmark::State &state)

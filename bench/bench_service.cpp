@@ -17,8 +17,9 @@
  *     canonical response bytes of every run must memcmp-match the
  *     baseline. Divergence exits 2 (check.sh treats that as failure).
  *
- * `--json [path]` writes BENCH_service.json (default path) with the
- * full sweep for EXPERIMENTS.md.
+ * `--json path` writes the full sweep as JSON to that path. The
+ * committed service baseline is the suite's service-open workload
+ * (BENCHMARK.json); this binary is the service smoke test.
  */
 
 #include <algorithm>
@@ -48,8 +49,7 @@ struct Options
     std::size_t workers = 0;     ///< 0 = parallelThreads().
     std::size_t queue_capacity = 1 << 17;
     std::uint64_t seed = 1;
-    bool write_json = false;
-    std::string json_path = "BENCH_service.json";
+    std::string json_path;       ///< Empty = no JSON output.
 };
 
 [[noreturn]] void
@@ -137,7 +137,7 @@ parseOptions(int argc, char **argv)
     requireKnownOptions(argc, argv,
                         {"--rate hz", "--requests n", "--mix spec",
                          "--workers n", "--queue-capacity n", "--seed n",
-                         "--json [path]"});
+                         "--json path"});
     Options opt;
     auto value = [&](int &i, const char *what) -> std::string {
         if (i + 1 >= argc)
@@ -167,9 +167,9 @@ parseOptions(int argc, char **argv)
                 argv[0], "--seed", value(i, "--seed"), 0,
                 std::numeric_limits<long long>::max()));
         } else if (arg == "--json") {
-            opt.write_json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                opt.json_path = argv[++i];
+            opt.json_path = value(i, "--json");
+            if (opt.json_path.empty() || opt.json_path[0] == '-')
+                usageExit(argv[0], "--json needs a path");
         } else {
             usageExit(argv[0], "unexpected operand '" + arg + "'");
         }
@@ -604,7 +604,7 @@ main(int argc, char **argv)
     probe.workers = opt.workers;
     const std::size_t worker_count =
         PlanningService(world, probe).workerCount();
-    if (opt.write_json)
+    if (!opt.json_path.empty())
         writeJson(opt, per_type, backlog, poisson, replay,
                   worker_count);
 

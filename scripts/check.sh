@@ -26,7 +26,8 @@
 # tree, since the service workers plan concurrently whichever engine
 # is selected. The service variant smokes
 # the planning-as-a-service runtime end to end: the service/MPMC test
-# suites plus a bench_service run (its determinism replay exits 2 on
+# suites and the FootprintPlanes oracle (the World's validity planes)
+# plus a bench_service run (its determinism replay exits 2 on
 # any divergence) in both the Release and TSan trees. The suite variant
 # runs the suite benchmark (suitebench/run.py, which builds its own tree
 # under .bench_build/) the way BENCHMARK.json does: kernels-1t and
@@ -129,7 +130,7 @@ sys.exit(1 if result["failed"] > 0 or dropped > 0 else 0)'
             cmake --build "${sdir}" -j "${jobs}"
             echo "==== service: ctest (${mode}) ===="
             ctest --test-dir "${sdir}" --output-on-failure -j "${jobs}" \
-                -R 'Service|Mpmc'
+                -R 'Service|Mpmc|FootprintPlanes'
             echo "==== service: bench_service smoke (${mode}) ===="
             "${sdir}/bench/bench_service" --requests 2000 \
                 --json "${sdir}/BENCH_service_smoke.json"

@@ -12,7 +12,12 @@
 #ifndef RTR_GRID_FOOTPRINT_H
 #define RTR_GRID_FOOTPRINT_H
 
+#include <array>
+#include <optional>
+#include <span>
+
 #include "geom/pose.h"
+#include "grid/bitboard.h"
 #include "grid/occupancy_grid2d.h"
 
 namespace rtr {
@@ -55,6 +60,66 @@ class RectFootprint
     double length_;
     double width_;
     mutable std::size_t last_cells_checked_ = 0;
+};
+
+/**
+ * Configuration-space obstacle of a RectFootprint on a fixed grid, for
+ * 8 fixed headings.
+ *
+ * A planner that places the footprint at cell centers only, with one
+ * of 8 headings, asks a question that depends on (cell, heading)
+ * alone. Bit (x, y) of plane h is set iff the footprint at cell (x, y)
+ * with heading h collides or its center cell is occupied: the
+ * occupancy dilated by heading h's footprint cell mask (Lozano-Pérez's
+ * C-space obstacle). The planes are built once by word-level dilation
+ * and then answer each state check with one bit read.
+ */
+class FootprintPlanes
+{
+  public:
+    static constexpr int kHeadings = 8;
+
+    /**
+     * Build the planes of @p footprint on @p grid for @p headings
+     * (radians), or return nothing when they might disagree with
+     * RectFootprint::collides().
+     *
+     * Each mask is the set of cell offsets d whose center, at d *
+     * resolution from the footprint center, passes collides()'s padded
+     * rectangle test, so the mask is exact when every cell-center
+     * coordinate the test can subtract is itself exact: then the
+     * difference of two centers is exactly d * resolution at every
+     * cell. An O(width + height) check proves that (it holds for
+     * dyadic resolutions and origins, e.g. 0.25 m at origin (0, 0));
+     * when it fails the build declines and callers keep collides().
+     * Cells outside the grid count as occupied, as in collides().
+     */
+    static std::optional<FootprintPlanes>
+    build(const OccupancyGrid2D &grid, const RectFootprint &footprint,
+          std::span<const double, kHeadings> headings);
+
+    /**
+     * Whether the footprint at in-bounds cell (x, y) with heading
+     * index @p heading collides (center cell included). The caller
+     * checks bounds.
+     */
+    bool
+    blocked(int heading, int x, int y) const
+    {
+        return planes_[static_cast<std::size_t>(heading)].test(x, y);
+    }
+
+    /** The plane of one heading index. */
+    const BitPlane &
+    plane(int heading) const
+    {
+        return planes_[static_cast<std::size_t>(heading)];
+    }
+
+  private:
+    FootprintPlanes() = default;
+
+    std::array<BitPlane, kHeadings> planes_;
 };
 
 /** Point-robot collision: is the world point in an occupied cell? */

@@ -11,15 +11,9 @@
 
 namespace rtr {
 
-namespace {
-
-/**
- * Find a footprint-valid cell near a target fraction of the map, by
- * scanning outward row-major from the anchor point.
- */
 Cell2
-findValidCell(const GridPlanner2D &planner, const OccupancyGrid2D &grid,
-              double fx, double fy)
+pp2dValidCellNear(const GridPlanner2D &planner, const OccupancyGrid2D &grid,
+                  double fx, double fy)
 {
     Cell2 anchor{static_cast<int>(grid.width() * fx),
                  static_cast<int>(grid.height() * fy)};
@@ -30,15 +24,13 @@ findValidCell(const GridPlanner2D &planner, const OccupancyGrid2D &grid,
                 if (std::max(std::abs(dx), std::abs(dy)) != radius)
                     continue;
                 Cell2 c{anchor.x + dx, anchor.y + dy};
-                if (planner.stateValid(c, 0.0))
+                if (planner.stateValid(c, 0))
                     return c;
             }
         }
     }
     fatal("no footprint-valid cell near (", fx, ", ", fy, ")");
 }
-
-} // namespace
 
 void
 Pp2dKernel::addOptions(ArgParser &parser) const
@@ -73,8 +65,8 @@ Pp2dKernel::run(const ArgParser &args) const
 
     // Long diagonal route: "the car traverses a long distance,
     // observing different obstacle patterns".
-    Cell2 start = findValidCell(planner, map, 0.03, 0.03);
-    Cell2 goal = findValidCell(planner, map, 0.97, 0.97);
+    Cell2 start = pp2dValidCellNear(planner, map, 0.03, 0.03);
+    Cell2 goal = pp2dValidCellNear(planner, map, 0.97, 0.97);
 
     // ---- Planning (the ROI) ----
     Stopwatch roi_timer;

@@ -7,9 +7,18 @@
 #ifndef RTR_KERNELS_KERNEL_PP2D_H
 #define RTR_KERNELS_KERNEL_PP2D_H
 
+#include "grid/occupancy_grid2d.h"
 #include "kernels/kernel.h"
+#include "search/grid_planner2d.h"
 
 namespace rtr {
+
+/**
+ * The kernel's start/goal search: the footprint-valid cell nearest the
+ * fraction (fx, fy) of the map, scanning outward ring by ring.
+ */
+Cell2 pp2dValidCellNear(const GridPlanner2D &planner,
+                        const OccupancyGrid2D &grid, double fx, double fy);
 
 /**
  * A 4.8 m x 1.8 m car plans a long route across a 1024x1024 city map

@@ -36,22 +36,39 @@ const Move kMoves[8] = {
 
 GridPlanner2D::GridPlanner2D(const OccupancyGrid2D &grid,
                              const RectFootprint *footprint,
-                             SearchEngine engine)
-    : grid_(grid), footprint_(footprint), engine_(engine)
+                             SearchEngine engine,
+                             const FootprintPlanes *planes)
+    : grid_(grid), footprint_(footprint), engine_(engine), planes_(planes)
 {
 }
 
+const std::array<double, FootprintPlanes::kHeadings> &
+GridPlanner2D::moveHeadings()
+{
+    static const std::array<double, FootprintPlanes::kHeadings> headings =
+        [] {
+            std::array<double, FootprintPlanes::kHeadings> out{};
+            for (int m = 0; m < FootprintPlanes::kHeadings; ++m)
+                out[static_cast<std::size_t>(m)] = kMoves[m].heading;
+            return out;
+        }();
+    return headings;
+}
+
 bool
-GridPlanner2D::stateValid(const Cell2 &cell, double heading) const
+GridPlanner2D::stateValid(const Cell2 &cell, int move) const
 {
     if (!grid_.inBounds(cell.x, cell.y))
         return false;
+    if (planes_)
+        return !planes_->blocked(move, cell.x, cell.y);
     if (grid_.occupiedUnchecked(cell.x, cell.y))
         return false;
     if (!footprint_)
         return true;
     Vec2 center = grid_.cellCenter(cell);
-    return !footprint_->collides(grid_, Pose2{center.x, center.y, heading});
+    return !footprint_->collides(
+        grid_, Pose2{center.x, center.y, kMoves[move].heading});
 }
 
 GridPlan2D
@@ -100,7 +117,7 @@ GridPlanner2D::planHeap(const Cell2 &start, const Cell2 &goal,
     {
         ScopedPhase phase(profiler, "collision");
         result.collision_checks += 2;
-        if (!stateValid(start, 0.0) || !stateValid(goal, 0.0))
+        if (!stateValid(start, 0) || !stateValid(goal, 0))
             return result;
     }
 
@@ -152,7 +169,7 @@ GridPlanner2D::planHeap(const Cell2 &start, const Cell2 &goal,
             for (int m = 0; m < 8; ++m) {
                 Cell2 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy};
                 ++result.collision_checks;
-                valid[m] = stateValid(next, kMoves[m].heading);
+                valid[m] = stateValid(next, m);
             }
         }
 
@@ -201,7 +218,7 @@ GridPlanner2D::planFlat(const Cell2 &start, const Cell2 &goal,
     {
         ScopedPhase phase(profiler, "collision");
         result.collision_checks += 2;
-        if (!stateValid(start, 0.0) || !stateValid(goal, 0.0))
+        if (!stateValid(start, 0) || !stateValid(goal, 0))
             return result;
     }
 
@@ -256,7 +273,7 @@ GridPlanner2D::planFlat(const Cell2 &start, const Cell2 &goal,
             for (int m = 0; m < 8; ++m) {
                 Cell2 next{cell.x + kMoves[m].dx, cell.y + kMoves[m].dy};
                 ++result.collision_checks;
-                valid[m] = stateValid(next, kMoves[m].heading);
+                valid[m] = stateValid(next, m);
             }
         }
 

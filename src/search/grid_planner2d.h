@@ -7,6 +7,7 @@
 #ifndef RTR_SEARCH_GRID_PLANNER2D_H
 #define RTR_SEARCH_GRID_PLANNER2D_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -43,7 +44,9 @@ struct GridPlan2D
  * With a footprint, every candidate successor cell is validated by
  * sweeping the oriented rectangle (heading aligned with the motion
  * direction) over the grid — the collision-detection workload that
- * dominates pp2d. Without one, the robot is a point.
+ * dominates pp2d. Without one, the robot is a point. Given validity
+ * planes of the footprint (FootprintPlanes built for moveHeadings()),
+ * each check is one bit read instead, with identical verdicts.
  */
 class GridPlanner2D
 {
@@ -53,10 +56,18 @@ class GridPlanner2D
      * @param footprint Optional robot body; nullptr plans a point robot.
      * @param engine Search engine (--search); both produce identical
      *        plans and statistics, only the data layout differs.
+     * @param planes Optional validity planes of @p footprint on
+     *        @p grid, built for moveHeadings() (must outlive the
+     *        planner; read-only, so planners may share them).
      */
     explicit GridPlanner2D(const OccupancyGrid2D &grid,
                            const RectFootprint *footprint = nullptr,
-                           SearchEngine engine = defaultSearchEngine());
+                           SearchEngine engine = defaultSearchEngine(),
+                           const FootprintPlanes *planes = nullptr);
+
+    /** Footprint heading (radians) of each of the 8 moves. */
+    static const std::array<double, FootprintPlanes::kHeadings> &
+    moveHeadings();
 
     /**
      * Plan from start to goal.
@@ -84,8 +95,12 @@ class GridPlanner2D
                              double epsilon, int arity,
                              PhaseProfiler *profiler = nullptr) const;
 
-    /** Whether a cell is a valid robot state (bounds + collision). */
-    bool stateValid(const Cell2 &cell, double heading) const;
+    /**
+     * Whether a cell is a valid robot state (bounds + collision), with
+     * the footprint at the heading of move @p move (0 = +x, the
+     * heading of the start and goal states).
+     */
+    bool stateValid(const Cell2 &cell, int move) const;
 
     /** Engine selected at construction. */
     SearchEngine engine() const { return engine_; }
@@ -102,6 +117,7 @@ class GridPlanner2D
     const OccupancyGrid2D &grid_;
     const RectFootprint *footprint_;
     SearchEngine engine_;
+    const FootprintPlanes *planes_;
     /** Flat-engine scratch (see plan() on thread-safety). */
     mutable SearchWorkspace ws_;
 };

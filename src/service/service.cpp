@@ -34,7 +34,8 @@ struct PlanningService::Shard
 /**
  * Per-worker clones of everything with mutable scratch. The World's
  * own footprint/checker prototypes are never touched by workers, so
- * any worker count reads the same immutable state.
+ * any worker count reads the same immutable state. The footprint
+ * planes are read-only and shared, not cloned.
  */
 struct PlanningService::WorkerContext
 {
@@ -48,7 +49,7 @@ struct PlanningService::WorkerContext
     explicit WorkerContext(const World &world)
         : footprint(world.footprint()),
           planner(world.grid(), &footprint,
-                  world.config().search_engine),
+                  world.config().search_engine, world.footprintPlanes()),
           checker(world.arm(), world.workspace())
     {
     }

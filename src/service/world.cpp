@@ -66,6 +66,8 @@ World::World(const WorldConfig &config)
       grid_(makeCityMap(config.grid_size, config.grid_resolution,
                         splitSeed(config.seed, 1))),
       footprint_(config.footprint_length, config.footprint_width),
+      planes_(FootprintPlanes::build(grid_, footprint_,
+                                     GridPlanner2D::moveHeadings())),
       arm_(PlanarArm::uniform(Vec2{0.25, 0.0}, config.arm_dof, 0.45)),
       workspace_(makeMapC()),
       space_(config.arm_dof, -kPi, kPi),
@@ -90,14 +92,15 @@ World::randomPp2d(Rng &rng) const
     // Sample footprint-valid cells so most plans are non-trivial; the
     // planner handles unreachable goals by returning found = false,
     // which is still a deterministic response.
-    GridPlanner2D planner(grid_, &footprint_);
+    GridPlanner2D planner(grid_, &footprint_, config_.search_engine,
+                          footprintPlanes());
     auto free_cell = [&] {
         for (int attempt = 0; attempt < 10000; ++attempt) {
             Cell2 cell{static_cast<int>(rng.index(
                            static_cast<std::size_t>(grid_.width()))),
                        static_cast<int>(rng.index(
                            static_cast<std::size_t>(grid_.height())))};
-            if (planner.stateValid(cell, 0.0))
+            if (planner.stateValid(cell, 0))
                 return cell;
         }
         fatal("service world: no footprint-valid cells found");

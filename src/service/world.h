@@ -3,12 +3,13 @@
  * The service's shared world state.
  *
  * A World is everything expensive the service builds once and serves
- * to thousands of requests: the city occupancy grid (pp2d), the PRM
- * roadmap (prm), the bucket k-d point index (NnBatch), and the ICP
- * target model with its prebuilt nearest-neighbor index (srec). The
- * paper benchmarks these kernels one query at a time; the ROADMAP
- * north-star is serving concurrent traffic, and roadmap/index reuse
- * across queries is where that throughput comes from.
+ * to thousands of requests: the city occupancy grid (pp2d) with its
+ * footprint validity planes, the PRM roadmap (prm), the bucket k-d
+ * point index (NnBatch), and the ICP target model with its prebuilt
+ * nearest-neighbor index (srec). The paper benchmarks these kernels
+ * one query at a time; the ROADMAP north-star is serving concurrent
+ * traffic, and roadmap/index reuse across queries is where that
+ * throughput comes from.
  *
  * Immutability rules (the service's thread-safety foundation):
  *  - After the constructor returns, nothing in a World changes. All
@@ -27,6 +28,7 @@
 #define RTR_SERVICE_WORLD_H
 
 #include <cstdint>
+#include <optional>
 
 #include "arm/cspace.h"
 #include "arm/planar_arm.h"
@@ -109,6 +111,18 @@ class World
     const OccupancyGrid2D &grid() const { return grid_; }
     /** Footprint prototype (mutable probe counter — clone per thread). */
     const RectFootprint &footprint() const { return footprint_; }
+    /**
+     * Validity planes of the footprint on the grid, built once for
+     * GridPlanner2D::moveHeadings(); read-only, so every worker's
+     * planner shares them. nullptr when the grid's geometry does not
+     * admit exact planes (FootprintPlanes::build); planners then sweep
+     * the footprint.
+     */
+    const FootprintPlanes *
+    footprintPlanes() const
+    {
+        return planes_ ? &*planes_ : nullptr;
+    }
     ///@}
 
     /// @name prm assets
@@ -152,6 +166,7 @@ class World
     // pp2d
     OccupancyGrid2D grid_;
     RectFootprint footprint_;
+    std::optional<FootprintPlanes> planes_;
 
     // prm (declaration order is lifetime order: the checker references
     // arm_/workspace_, the planner references space_/checker_)

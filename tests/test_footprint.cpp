@@ -7,10 +7,14 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
+#include <vector>
 
 #include "geom/angle.h"
 #include "grid/footprint.h"
 #include "grid/map_gen.h"
+#include "search/grid_planner2d.h"
+#include "service/world.h"
 #include "util/rng.h"
 
 namespace rtr {
@@ -171,6 +175,217 @@ TEST(Footprint, FastPathAgreesWithDenseProbing)
             << "pose (" << pose.x << "," << pose.y << ","
             << pose.theta << ")";
     }
+}
+
+std::optional<FootprintPlanes>
+buildPlanes(const OccupancyGrid2D &grid, const RectFootprint &footprint)
+{
+    return FootprintPlanes::build(grid, footprint,
+                                  GridPlanner2D::moveHeadings());
+}
+
+/**
+ * The oracle: for every (cell, heading), the plane bit must equal the
+ * sweep planner's verdict through collides(). Also asserts that the
+ * grid is non-trivial (some states valid, some not).
+ */
+void
+expectPlanesMatchSweep(const OccupancyGrid2D &grid,
+                       const RectFootprint &footprint,
+                       const FootprintPlanes &planes)
+{
+    GridPlanner2D sweep(grid, &footprint);
+    std::size_t blocked = 0;
+    std::size_t mismatches = 0;
+    for (int h = 0; h < FootprintPlanes::kHeadings; ++h) {
+        ASSERT_EQ(planes.plane(h).width(), grid.width());
+        ASSERT_EQ(planes.plane(h).height(), grid.height());
+        std::size_t blocked_here = 0;
+        for (int y = 0; y < grid.height(); ++y) {
+            for (int x = 0; x < grid.width(); ++x) {
+                const bool bit = planes.blocked(h, x, y);
+                blocked_here += bit ? 1 : 0;
+                if (bit == sweep.stateValid({x, y}, h) &&
+                    ++mismatches <= 5)
+                    ADD_FAILURE() << "heading " << h << " cell (" << x
+                                  << ", " << y << "): plane " << bit;
+            }
+        }
+        // No bit set past the last column (BitPlane's zero padding).
+        EXPECT_EQ(planes.plane(h).countSet(), blocked_here);
+        blocked += blocked_here;
+    }
+    EXPECT_EQ(mismatches, 0u);
+    const std::size_t states = static_cast<std::size_t>(grid.width()) *
+                               grid.height() * FootprintPlanes::kHeadings;
+    EXPECT_GT(blocked, 0u);
+    EXPECT_LT(blocked, states);
+}
+
+void
+expectExactPlanes(const OccupancyGrid2D &grid,
+                  const RectFootprint &footprint)
+{
+    const std::optional<FootprintPlanes> planes =
+        buildPlanes(grid, footprint);
+    ASSERT_TRUE(planes.has_value());
+    expectPlanesMatchSweep(grid, footprint, *planes);
+}
+
+/** A grid with another grid's occupancy but its own geometry. */
+OccupancyGrid2D
+copyOccupancy(const OccupancyGrid2D &from, double resolution, Vec2 origin)
+{
+    OccupancyGrid2D grid(from.width(), from.height(), resolution, origin);
+    for (int y = 0; y < from.height(); ++y) {
+        for (int x = 0; x < from.width(); ++x) {
+            if (from.occupied(x, y))
+                grid.setOccupied(x, y);
+        }
+    }
+    return grid;
+}
+
+/** First valid cell in row-major order, from the top when @p last. */
+Cell2
+firstValidCell(const GridPlanner2D &planner, const OccupancyGrid2D &grid,
+               bool last)
+{
+    const int n = grid.width() * grid.height();
+    for (int i = 0; i < n; ++i) {
+        const int id = last ? n - 1 - i : i;
+        const Cell2 cell{id % grid.width(), id / grid.width()};
+        if (planner.stateValid(cell, 0))
+            return cell;
+    }
+    ADD_FAILURE() << "no valid cell";
+    return {};
+}
+
+TEST(FootprintPlanes, MatchSweepOnServiceWorld)
+{
+    const service::World world;
+    ASSERT_NE(world.footprintPlanes(), nullptr);
+    expectPlanesMatchSweep(world.grid(), world.footprint(),
+                           *world.footprintPlanes());
+}
+
+TEST(FootprintPlanes, MatchSweepOnCityMaps)
+{
+    const service::WorldConfig config;
+    const RectFootprint robot(config.footprint_length,
+                              config.footprint_width);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        for (int size : {64, 128}) {
+            for (double resolution : {0.25, 0.5}) {
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " size " << size
+                             << " resolution " << resolution);
+                expectExactPlanes(makeCityMap(size, resolution, seed),
+                                  robot);
+            }
+        }
+    }
+}
+
+TEST(FootprintPlanes, MatchSweepForCarFootprint)
+{
+    // pp2d's car at its 0.5 m resolution: masks reach 7 cells, so rows
+    // read windows that straddle two words and cross the grid edge.
+    const RectFootprint car(4.8, 1.8);
+    for (std::uint64_t seed : {1, 2}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        expectExactPlanes(makeCityMap(128, 0.5, seed), car);
+    }
+}
+
+TEST(FootprintPlanes, MatchSweepAfterEdits)
+{
+    OccupancyGrid2D grid = makeCityMap(64, 0.25, 3);
+    Rng rng(17);
+    std::vector<CellEdit> edits;
+    for (int i = 0; i < 300; ++i) {
+        edits.push_back({static_cast<int>(rng.index(64)),
+                         static_cast<int>(rng.index(64)),
+                         rng.uniform(0.0, 1.0) < 0.5});
+    }
+    grid.applyEdits(edits);
+    grid.setRect(10, 40, 17, 44, true);
+    grid.setRect(30, 5, 45, 20, false);
+    expectExactPlanes(grid, RectFootprint(0.6, 0.4));
+    expectExactPlanes(grid, RectFootprint(1.3, 0.5));
+}
+
+TEST(FootprintPlanes, MatchSweepWithDyadicOriginAndRaggedWidth)
+{
+    // A width that is not a multiple of 64 exercises the last-word
+    // mask; the origin is dyadic, so centers stay exact.
+    const OccupancyGrid2D random = makeRandomObstacleMap(100, 70, 0.08, 5);
+    expectExactPlanes(copyOccupancy(random, 0.25, {-3.5, 1.25}),
+                      RectFootprint(0.6, 0.4));
+    expectExactPlanes(copyOccupancy(random, 0.5, {12.0, -0.75}),
+                      RectFootprint(2.0, 0.9));
+}
+
+TEST(FootprintPlanes, DeclineInexactGeometryAndPlannerKeepsSweep)
+{
+    const OccupancyGrid2D city = makeCityMap(64, 0.25, 2);
+    const RectFootprint robot(0.6, 0.4);
+    const OccupancyGrid2D coarse = copyOccupancy(city, 0.3, {0.0, 0.0});
+    const OccupancyGrid2D shifted = copyOccupancy(city, 0.25, {0.1, 0.0});
+    for (const OccupancyGrid2D *grid : {&coarse, &shifted}) {
+        const std::optional<FootprintPlanes> planes =
+            buildPlanes(*grid, robot);
+        EXPECT_FALSE(planes.has_value());
+        // What a World does with the result: no planes, so the planner
+        // sweeps, and its plans are the sweep's.
+        const GridPlanner2D planner(*grid, &robot, SearchEngine::Flat,
+                                    planes ? &*planes : nullptr);
+        const GridPlanner2D sweep(*grid, &robot, SearchEngine::Flat);
+        const Cell2 start = firstValidCell(sweep, *grid, false);
+        const Cell2 goal = firstValidCell(sweep, *grid, true);
+        const GridPlan2D a = planner.plan(start, goal, 1.5);
+        const GridPlan2D b = sweep.plan(start, goal, 1.5);
+        EXPECT_TRUE(b.found);
+        EXPECT_EQ(a.found, b.found);
+        EXPECT_EQ(a.path, b.path);
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_EQ(a.expanded, b.expanded);
+    }
+}
+
+TEST(FootprintPlanes, PlannerPlansMatchSweep)
+{
+    // Same plans, costs and statistics with and without planes, on
+    // both engines, including an out-of-grid goal.
+    const OccupancyGrid2D grid = makeCityMap(128, 0.5, 4);
+    const RectFootprint car(4.8, 1.8);
+    const std::optional<FootprintPlanes> planes = buildPlanes(grid, car);
+    ASSERT_TRUE(planes.has_value());
+    Rng rng(8);
+    std::size_t found = 0;
+    for (SearchEngine engine : {SearchEngine::Flat, SearchEngine::Heap}) {
+        const GridPlanner2D fast(grid, &car, engine, &*planes);
+        const GridPlanner2D sweep(grid, &car, engine);
+        for (int trial = 0; trial < 12; ++trial) {
+            const Cell2 start{static_cast<int>(rng.index(128)),
+                              static_cast<int>(rng.index(128))};
+            const Cell2 goal =
+                trial == 0 ? Cell2{128, 5}
+                           : Cell2{static_cast<int>(rng.index(128)),
+                                   static_cast<int>(rng.index(128))};
+            const GridPlan2D a = fast.plan(start, goal, 1.5);
+            const GridPlan2D b = sweep.plan(start, goal, 1.5);
+            found += a.found ? 1 : 0;
+            EXPECT_EQ(a.found, b.found);
+            EXPECT_EQ(a.path, b.path);
+            EXPECT_EQ(a.cost, b.cost);
+            EXPECT_EQ(a.expanded, b.expanded);
+            EXPECT_EQ(a.collision_checks, b.collision_checks);
+            EXPECT_EQ(a.peak_open, b.peak_open);
+        }
+    }
+    EXPECT_GE(found, 6u);
 }
 
 } // namespace

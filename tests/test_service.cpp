@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "search/grid_planner2d.h"
 #include "service/service.h"
 #include "util/mpmc_queue.h"
 #include "util/rng.h"
@@ -374,6 +375,66 @@ TEST(ServiceTest, ReplayIsIdenticalAcrossSearchEngines)
                 << "heap request " << i << " diverged (workers="
                 << workers << ")";
         }
+    }
+}
+
+/**
+ * The World's footprint planes must not change a single pp2d response
+ * byte: a fixed 256-request pool, plus start/goal cells outside the
+ * grid (found = false, and the bounds check runs before any plane
+ * read), served through the planes must match a planner that sweeps
+ * the footprint, under both search engines.
+ */
+TEST(ServiceTest, Pp2dPlanesMatchFootprintSweep)
+{
+    for (SearchEngine engine : {SearchEngine::Flat, SearchEngine::Heap}) {
+        WorldConfig config;
+        config.prm_samples = 150;
+        config.nn_points = 1024;
+        config.search_engine = engine;
+        const World world(config);
+        ASSERT_NE(world.footprintPlanes(), nullptr);
+
+        Rng rng(91);
+        std::vector<Request> stream;
+        for (std::size_t i = 0; i < 256; ++i)
+            stream.push_back(world.randomPp2d(rng));
+        const Pp2dPlanRequest valid = world.randomPp2d(rng);
+        const int size = world.grid().width();
+        for (const Cell2 &outside :
+             {Cell2{-1, 3}, Cell2{4, -2}, Cell2{size, 0}, Cell2{0, size},
+              Cell2{-size, -size}, Cell2{3 * size, 5}}) {
+            Pp2dPlanRequest request = valid;
+            request.start = outside;
+            stream.push_back(request);
+            request.start = valid.start;
+            request.goal = outside;
+            stream.push_back(request);
+        }
+
+        const auto served = runOnWorld(world, stream, 1);
+        ASSERT_EQ(served.size(), stream.size());
+        const GridPlanner2D sweep(world.grid(), &world.footprint(), engine);
+        std::size_t found = 0;
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            const auto &request = std::get<Pp2dPlanRequest>(stream[i]);
+            GridPlan2D plan =
+                sweep.plan(request.start, request.goal, request.epsilon);
+            found += plan.found ? 1 : 0;
+            if (i >= 256)
+                EXPECT_FALSE(plan.found) << "request " << i;
+            Pp2dPlanResponse response;
+            response.found = plan.found;
+            response.cost = plan.cost;
+            response.expanded = plan.expanded;
+            response.path = std::move(plan.path);
+            std::vector<std::uint8_t> bytes;
+            appendCanonicalBytes(Response{std::move(response)}, bytes);
+            EXPECT_EQ(served[i], bytes)
+                << "request " << i << " diverged ("
+                << searchEngineName(engine) << ")";
+        }
+        EXPECT_GT(found, 128u);
     }
 }
 
