@@ -15,6 +15,8 @@
 #include <string>
 
 #include "arm/cspace.h"
+#include "arm/planar_arm.h"
+#include "arm/workspace.h"
 #include "bench_common.h"
 #include "util/stopwatch.h"
 #include "control/cem.h"
@@ -211,6 +213,83 @@ BM_L2Norm5D(benchmark::State &state)
     }
 }
 BENCHMARK(BM_L2Norm5D);
+
+/**
+ * Arm collision layer: the 5-DoF Map-C arm of the prm/rrt kernels.
+ * Configurations are uniform samples, so a fair share of them leave
+ * the bounds before any obstacle test; the rows time the checker as
+ * the planners call it.
+ */
+struct ArmScene
+{
+    PlanarArm arm = PlanarArm::uniform(Vec2{0.25, 0.0}, 5, 0.45);
+    Workspace workspace = makeMapC();
+    std::vector<ArmConfig> configs;
+
+    ArmScene()
+    {
+        ConfigSpace space(5, -kPi, kPi);
+        Rng rng(12);
+        for (int i = 0; i < 1024; ++i)
+            configs.push_back(space.sample(rng));
+    }
+};
+
+void
+BM_ArmConfigCollides(benchmark::State &state)
+{
+    const ArmScene scene;
+    ArmCollisionChecker checker(scene.arm, scene.workspace);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(checker.configCollides(
+            scene.configs[i++ % scene.configs.size()]));
+    }
+}
+BENCHMARK(BM_ArmConfigCollides);
+
+/** One motion check between neighboring samples at prm's 0.05 rad step. */
+void
+BM_ArmMotionCollides(benchmark::State &state)
+{
+    const ArmScene scene;
+    ArmCollisionChecker checker(scene.arm, scene.workspace);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::size_t a = i++ % scene.configs.size();
+        benchmark::DoNotOptimize(checker.motionCollides(
+            scene.configs[a], scene.configs[(a + 1) % scene.configs.size()],
+            0.05));
+    }
+    state.counters["checks_per_call"] = benchmark::Counter(
+        static_cast<double>(checker.checksPerformed()) /
+        static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ArmMotionCollides);
+
+/**
+ * One service PrmQuery on the default World, as a worker runs it: own
+ * checker clone and warm PrmQueryWorkspace, cycling a fixed pool of
+ * generated requests.
+ */
+void
+BM_PrmServiceQuery(benchmark::State &state)
+{
+    const service::World &world = serviceWorld();
+    ArmCollisionChecker checker(world.arm(), world.workspace());
+    PrmQueryWorkspace ws;
+    Rng rng(77);
+    std::vector<service::PrmQueryRequest> pool;
+    for (int i = 0; i < 256; ++i)
+        pool.push_back(world.randomPrm(rng));
+    std::size_t i = 0, evals = 0;
+    for (auto _ : state) {
+        const service::PrmQueryRequest &request = pool[i++ % pool.size()];
+        benchmark::DoNotOptimize(world.prm().query(
+            request.start, request.goal, checker, nullptr, &evals, &ws));
+    }
+}
+BENCHMARK(BM_PrmServiceQuery);
 
 void
 BM_MatrixMultiply(benchmark::State &state)

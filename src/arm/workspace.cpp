@@ -54,10 +54,33 @@ makeRandomWorkspace(int n_obstacles, std::uint64_t seed)
     return ws;
 }
 
+namespace {
+
+/**
+ * Whether a box is finite with lo <= hi on both axes: the precondition
+ * of segmentIntersectsAabb's exact fast path.
+ */
+bool
+wellFormed(const Aabb2 &box)
+{
+    return std::isfinite(box.lo.x) && std::isfinite(box.lo.y) &&
+           std::isfinite(box.hi.x) && std::isfinite(box.hi.y) &&
+           box.lo.x <= box.hi.x && box.lo.y <= box.hi.y;
+}
+
+} // namespace
+
 ArmCollisionChecker::ArmCollisionChecker(const PlanarArm &arm,
                                          const Workspace &workspace)
     : arm_(arm), workspace_(workspace)
 {
+    if (!wellFormed(workspace.bounds))
+        fatal("workspace bounds must be finite with lo <= hi");
+    for (std::size_t i = 0; i < workspace.obstacles.size(); ++i) {
+        if (!wellFormed(workspace.obstacles[i]))
+            fatal("workspace obstacle ", i,
+                  " must be finite with lo <= hi");
+    }
 }
 
 bool
@@ -96,7 +119,8 @@ ArmCollisionChecker::motionCollides(const ArmConfig &from,
     int steps = std::max(1, static_cast<int>(std::ceil(max_delta /
                                                        step_size)));
 
-    ArmConfig q(from.size());
+    ArmConfig &q = motion_q_;
+    q.resize(from.size());
     for (int s = 0; s <= steps; ++s) {
         double t = static_cast<double>(s) / steps;
         for (std::size_t i = 0; i < from.size(); ++i)

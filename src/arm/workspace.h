@@ -47,7 +47,10 @@ Workspace makeRandomWorkspace(int n_obstacles, std::uint64_t seed);
 class ArmCollisionChecker
 {
   public:
-    /** Both referents must outlive the checker. */
+    /**
+     * Both referents must outlive the checker. fatal() unless the
+     * bounds and every obstacle are finite with lo <= hi.
+     */
     ArmCollisionChecker(const PlanarArm &arm, const Workspace &workspace);
 
     /** Whether a configuration collides (obstacles or out of bounds). */
@@ -83,6 +86,7 @@ class ArmCollisionChecker
     const PlanarArm &arm_;
     const Workspace &workspace_;
     mutable std::vector<Vec2> joints_;  // FK scratch, avoids reallocation
+    mutable ArmConfig motion_q_;        // motionCollides() interpolant
     mutable std::size_t checks_ = 0;
 };
 

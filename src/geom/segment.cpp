@@ -58,11 +58,31 @@ segmentIntersectsAabb(const Segment2 &s, const Aabb2 &box)
     if (box.contains(s.a) || box.contains(s.b))
         return true;
 
+    // The answer equals segmentsIntersect(s, edge) over the four box
+    // edges, with each orientation evaluated at most once (DESIGN.md
+    // "Arm collision" has the proof). Corner orientations are shared by
+    // the two edges that meet there. The edge-side orientations matter
+    // only where the edge's corners straddle the link's line. A link
+    // endpoint colinear with an edge and on it lies in the box, so the
+    // contains() test above already answered that case; this needs a
+    // finite box with lo <= hi, which ArmCollisionChecker enforces.
     const Vec2 corners[4] = {
         box.lo, {box.hi.x, box.lo.y}, box.hi, {box.lo.x, box.hi.y}};
+    int oc[4];
+    for (int i = 0; i < 4; ++i)
+        oc[i] = orientation(s.a, s.b, corners[i]);
+    if (oc[0] != 0 && oc[0] == oc[1] && oc[0] == oc[2] && oc[0] == oc[3])
+        return false; // the whole box is strictly on one side
+
     for (int i = 0; i < 4; ++i) {
-        Segment2 edge{corners[i], corners[(i + 1) % 4]};
-        if (segmentsIntersect(s, edge))
+        const int j = (i + 1) % 4;
+        if (oc[i] != oc[j] &&
+            orientation(corners[i], corners[j], s.a) !=
+                orientation(corners[i], corners[j], s.b))
+            return true;
+    }
+    for (int i = 0; i < 4; ++i) {
+        if (oc[i] == 0 && onSegment(s.a, s.b, corners[i]))
             return true;
     }
     return false;

@@ -30,7 +30,12 @@ struct Segment2
 /** Whether two segments intersect (touching endpoints count). */
 bool segmentsIntersect(const Segment2 &s, const Segment2 &t);
 
-/** Whether a segment intersects (or is contained in) a rectangle. */
+/**
+ * Whether a segment intersects (or is contained in) a rectangle.
+ *
+ * Equals segmentsIntersect() against the four box edges, bit for bit,
+ * provided the box is finite with lo <= hi on both axes.
+ */
 bool segmentIntersectsAabb(const Segment2 &s, const Aabb2 &box);
 
 /** Shortest distance from a point to a segment. */

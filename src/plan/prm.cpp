@@ -155,13 +155,19 @@ PrmPlanner::query(const ArmConfig &start, const ArmConfig &goal,
 
         auto attach = [&](const ArmConfig &q) {
             std::uint32_t id = w.graph.addNode();
-            // Candidate connections: nearest roadmap nodes by L2.
+            // Candidate connections: roadmap nodes within twice the
+            // edge length, nearest first by (d2, id). Only those are
+            // sorted: sqrt is monotone, so they are exactly the prefix
+            // of the full (d2, id) order that lies within the radius.
+            const double radius = config_.max_edge_length * 2.0;
             w.order.clear();
             w.order.reserve(n);
             for (std::size_t i = 0; i < n; ++i) {
-                w.order.emplace_back(
-                    ConfigSpace::squaredDistance(q, configs_[i]),
-                    static_cast<std::uint32_t>(i));
+                const double d2 =
+                    ConfigSpace::squaredDistance(q, configs_[i]);
+                if (!(std::sqrt(d2) > radius))
+                    w.order.emplace_back(d2,
+                                         static_cast<std::uint32_t>(i));
             }
             std::sort(w.order.begin(), w.order.end());
             std::size_t connected = 0;
@@ -169,8 +175,6 @@ PrmPlanner::query(const ArmConfig &start, const ArmConfig &goal,
                 if (connected >= config_.k_neighbors)
                     break;
                 double dist = std::sqrt(d2);
-                if (dist > config_.max_edge_length * 2.0)
-                    break;
                 if (!checker.motionCollides(q, configs_[node],
                                             config_.collision_step)) {
                     w.graph.addEdge(id, node, dist);

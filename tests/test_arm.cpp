@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the planar arm: forward kinematics, workspace collision
- * checking, configuration-space helpers.
+ * checking, configuration-space helpers, and the checker's
+ * zero-allocation contract for warm calls.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "alloc_counter.h"
 #include "arm/cspace.h"
 #include "arm/planar_arm.h"
 #include "arm/workspace.h"
@@ -138,6 +140,39 @@ TEST(CollisionChecker, MotionFreeWhenNothingInTheWay)
     Workspace ws = makeMapF();
     ArmCollisionChecker checker(arm, ws);
     EXPECT_FALSE(checker.motionCollides({2.2, 0.0}, {0.94, 0.0}, 0.02));
+}
+
+/**
+ * A warm checker validates configurations and motions without touching
+ * the allocator: forward kinematics writes into the checker's joint
+ * scratch and motionCollides() interpolates into its own.
+ */
+TEST(CollisionChecker, WarmChecksDoNotAllocate)
+{
+    PlanarArm arm = PlanarArm::uniform({0.25, 0.0}, 5, 0.45);
+    Workspace ws = makeMapC();
+    ArmCollisionChecker checker(arm, ws);
+    ConfigSpace space(5, -kPi, kPi);
+    Rng rng(8);
+    std::vector<ArmConfig> configs;
+    for (int i = 0; i < 32; ++i)
+        configs.push_back(space.sample(rng));
+    // Warm-up sizes the scratch.
+    (void)checker.motionCollides(configs[0], configs[1], 0.05);
+
+    std::size_t collisions = 0;
+    const std::size_t allocs = rtr_test::allocationsDuring([&] {
+        for (std::size_t i = 0; i + 1 < configs.size(); ++i) {
+            collisions += checker.configCollides(configs[i]) ? 1 : 0;
+            collisions += checker.motionCollides(configs[i],
+                                                 configs[i + 1], 0.05)
+                              ? 1
+                              : 0;
+        }
+    });
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_GT(collisions, 0u); // the loop reached the obstacle tests
+    EXPECT_GT(checker.checksPerformed(), 2 * configs.size());
 }
 
 TEST(ConfigSpace, SampleWithinBounds)

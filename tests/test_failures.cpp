@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "arm/planar_arm.h"
+#include "arm/workspace.h"
+#include "geom/angle.h"
 #include "grid/map_io.h"
 #include "kernels/registry.h"
 #include "linalg/decomp.h"
@@ -130,6 +135,47 @@ TEST(FailuresDeathTest, ReportFileToUnwritablePathIsFatal)
     KernelReport report;
     EXPECT_EXIT(writeReportFile(report, "/nonexistent/dir/report.csv"),
                 ::testing::ExitedWithCode(1), "cannot write report");
+}
+
+/**
+ * The checker's exact segment-vs-box fast path needs finite boxes with
+ * lo <= hi, so a workspace that breaks that dies at construction.
+ */
+TEST(FailuresDeathTest, MalformedWorkspaceIsFatal)
+{
+    const PlanarArm arm = PlanarArm::uniform({0.25, 0.0}, 3, 0.45);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    Workspace inverted_bounds = makeMapF();
+    inverted_bounds.bounds = Aabb2{{0.5, 0.0}, {0.0, 0.5}};
+    EXPECT_EXIT(ArmCollisionChecker(arm, inverted_bounds),
+                ::testing::ExitedWithCode(1), "workspace bounds");
+
+    Workspace infinite_bounds = makeMapF();
+    infinite_bounds.bounds.hi.y = inf;
+    EXPECT_EXIT(ArmCollisionChecker(arm, infinite_bounds),
+                ::testing::ExitedWithCode(1), "workspace bounds");
+
+    Workspace inverted_obstacle = makeMapC();
+    inverted_obstacle.obstacles.push_back(
+        Aabb2{{0.3, 0.3}, {0.2, 0.4}});
+    EXPECT_EXIT(ArmCollisionChecker(arm, inverted_obstacle),
+                ::testing::ExitedWithCode(1),
+                "workspace obstacle 5 must be finite with lo <= hi");
+
+    Workspace nan_obstacle = makeMapF();
+    nan_obstacle.obstacles.push_back(Aabb2{{0.2, nan}, {0.3, 0.4}});
+    EXPECT_EXIT(ArmCollisionChecker(arm, nan_obstacle),
+                ::testing::ExitedWithCode(1), "workspace obstacle 0");
+
+    // A zero-width box is well formed, and the straight-up arm's last
+    // link runs along it.
+    Workspace flat_obstacle = makeMapF();
+    flat_obstacle.obstacles.push_back(Aabb2{{0.25, 0.32}, {0.25, 0.4}});
+    ArmCollisionChecker checker(arm, flat_obstacle);
+    EXPECT_TRUE(checker.configCollides({kPi / 2.0, 0.0, 0.0}));
+    EXPECT_FALSE(checker.configCollides({2.0, 0.0, 0.0}));
 }
 
 } // namespace

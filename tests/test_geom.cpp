@@ -163,6 +163,180 @@ TEST(Segment, AabbIntersection)
     EXPECT_TRUE(segmentIntersectsAabb({{0, 2}, {1, 1}}, box));
 }
 
+/**
+ * The segment-vs-box test as it stood before corner orientations were
+ * shared: segmentsIntersect() against each of the four box edges. It
+ * survives only as the oracle segmentIntersectsAabb() must match.
+ */
+bool
+referenceSegmentIntersectsAabb(const Segment2 &s, const Aabb2 &box)
+{
+    if (box.contains(s.a) || box.contains(s.b))
+        return true;
+
+    const Vec2 corners[4] = {
+        box.lo, {box.hi.x, box.lo.y}, box.hi, {box.lo.x, box.hi.y}};
+    for (int i = 0; i < 4; ++i) {
+        Segment2 edge{corners[i], corners[(i + 1) % 4]};
+        if (segmentsIntersect(s, edge))
+            return true;
+    }
+    return false;
+}
+
+/** Box corner @p i in segmentIntersectsAabb's (ccw from lo) order. */
+Vec2
+boxCorner(const Aabb2 &box, int i)
+{
+    switch (i & 3) {
+    case 0:
+        return box.lo;
+    case 1:
+        return {box.hi.x, box.lo.y};
+    case 2:
+        return box.hi;
+    default:
+        return {box.lo.x, box.hi.y};
+    }
+}
+
+/**
+ * 0 or +-2^-k for k in [30, 50]: offsets that straddle the 1e-12
+ * colinearity band of the orientation test at arm scale (boxes and
+ * links of ~0.1 m).
+ */
+double
+nudge(Rng &rng)
+{
+    if (rng.chance(0.25))
+        return 0.0;
+    const double m = std::ldexp(1.0, -static_cast<int>(rng.intRange(30, 50)));
+    return rng.chance(0.5) ? m : -m;
+}
+
+Vec2
+nudged(const Vec2 &p, Rng &rng)
+{
+    return {p.x + nudge(rng), p.y + nudge(rng)};
+}
+
+/** A finite box with lo <= hi, inside the arm workspace's scale. */
+Aabb2
+randomBox(Rng &rng, bool zero_width, bool zero_height)
+{
+    const double x = rng.uniform(0.0, 0.5);
+    const double y = rng.uniform(0.0, 0.5);
+    const double w = zero_width ? 0.0 : rng.uniform(0.0, 0.1);
+    const double h = zero_height ? 0.0 : rng.uniform(0.0, 0.1);
+    return {{x, y}, {x + w, y + h}};
+}
+
+/**
+ * A point on, near or away from @p box: a corner, a point on the line
+ * through an edge (beyond its ends too), or anywhere nearby; nudged.
+ */
+Vec2
+snappedPoint(const Aabb2 &box, Rng &rng)
+{
+    const int edge = static_cast<int>(rng.index(4));
+    const Vec2 a = boxCorner(box, edge);
+    const Vec2 b = boxCorner(box, edge + 1);
+    switch (rng.index(3)) {
+    case 0:
+        return nudged(a, rng);
+    case 1:
+        return nudged(a + (b - a) * rng.uniform(-0.5, 1.5), rng);
+    default:
+        return nudged({rng.uniform(-0.1, 0.7), rng.uniform(-0.1, 0.7)}, rng);
+    }
+}
+
+/**
+ * A link nearly parallel to the line through one of the box's edges,
+ * its endpoints on opposite sides of that line by a nudge each, and
+ * spanning anything from inside the edge to past both of its ends.
+ */
+Segment2
+straddlingLink(const Aabb2 &box, Rng &rng)
+{
+    const int edge = static_cast<int>(rng.index(4));
+    const Vec2 a = boxCorner(box, edge);
+    const Vec2 b = boxCorner(box, edge + 1);
+    const double off = std::abs(nudge(rng));
+    const double back = std::abs(nudge(rng));
+    const Vec2 side = edge % 2 == 0 ? Vec2{0.0, 1.0} : Vec2{1.0, 0.0};
+    return {a + (b - a) * rng.uniform(-1.0, 2.0) + side * off,
+            a + (b - a) * rng.uniform(-1.0, 2.0) - side * back};
+}
+
+/**
+ * The fast segmentIntersectsAabb() must return the oracle's answer on
+ * every input the arm checker can feed it (finite boxes, lo <= hi),
+ * with the adversarial cases weighted up: endpoints on or within
+ * 2^-30..2^-50 of box edge lines and corners, near-parallel links that
+ * straddle an edge line, zero-length links and zero-width boxes. Each
+ * family must produce both answers, or it tests nothing.
+ */
+TEST(Segment, AabbIntersectionMatchesReferenceOracle)
+{
+    constexpr int kFamilies = 5;
+    constexpr int kCasesPerFamily = 240000;
+    const char *names[kFamilies] = {"random", "snapped", "straddling",
+                                    "zero-length", "zero-width"};
+    Rng rng(2024);
+    for (int family = 0; family < kFamilies; ++family) {
+        std::size_t hits = 0, mismatches = 0;
+        for (int i = 0; i < kCasesPerFamily; ++i) {
+            Aabb2 box;
+            Segment2 link;
+            switch (family) {
+            case 0:
+                box = randomBox(rng, false, false);
+                link = {{rng.uniform(-0.1, 0.7), rng.uniform(-0.1, 0.7)},
+                        {rng.uniform(-0.1, 0.7), rng.uniform(-0.1, 0.7)}};
+                break;
+            case 1:
+                box = randomBox(rng, false, false);
+                link = {snappedPoint(box, rng), snappedPoint(box, rng)};
+                break;
+            case 2:
+                box = randomBox(rng, false, false);
+                link = straddlingLink(box, rng);
+                break;
+            case 3:
+                box = randomBox(rng, false, false);
+                link.a = link.b = snappedPoint(box, rng);
+                break;
+            default: {
+                const std::size_t shape = rng.index(3); // |, -, or a point
+                box = randomBox(rng, shape != 1, shape != 0);
+                link = rng.chance(0.5)
+                           ? straddlingLink(box, rng)
+                           : Segment2{snappedPoint(box, rng),
+                                      snappedPoint(box, rng)};
+                break;
+            }
+            }
+            const bool expected = referenceSegmentIntersectsAabb(link, box);
+            hits += expected ? 1 : 0;
+            if (segmentIntersectsAabb(link, box) != expected &&
+                ++mismatches <= 3) {
+                ADD_FAILURE() << std::hexfloat << names[family]
+                              << " case " << i << ": link (" << link.a.x
+                              << ", " << link.a.y << ")-(" << link.b.x
+                              << ", " << link.b.y << ") box (" << box.lo.x
+                              << ", " << box.lo.y << ")-(" << box.hi.x
+                              << ", " << box.hi.y << ") expected "
+                              << expected;
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << names[family];
+        EXPECT_GT(hits, kCasesPerFamily / 100u) << names[family];
+        EXPECT_LT(hits, kCasesPerFamily - kCasesPerFamily / 100u)
+            << names[family];
+    }
+}
+
 TEST(Aabb2, ContainsAndOverlaps)
 {
     Aabb2 a{{0, 0}, {2, 2}};

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "kernels/registry.h"
 
@@ -198,6 +202,113 @@ TEST(KernelDeterminism, SameSeedSameMetrics)
     EXPECT_DOUBLE_EQ(a.metrics.at("path_cost_rad"),
                      b.metrics.at("path_cost_rad"));
     EXPECT_DOUBLE_EQ(a.metrics.at("samples"), b.metrics.at("samples"));
+}
+
+/** FNV-1a over @p n bytes, continuing from @p hash. */
+std::uint64_t
+fnv1a(const void *data, std::size_t n,
+      std::uint64_t hash = 0xcbf29ce484222325ULL)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The suite's filter for metrics derived from wall-clock time. */
+bool
+isTimingMetric(const std::string &key)
+{
+    return key.find("fraction") != std::string::npos ||
+           key.find("seconds") != std::string::npos ||
+           key.find("_ns") != std::string::npos || key.rfind("ns_", 0) == 0;
+}
+
+/**
+ * The arm planners' outputs at the suite's kernels-1t configurations,
+ * pinned bit for bit: every non-timing metric as a hexfloat plus a
+ * digest of every series (these kernels emit none, so the digest pins
+ * the empty set). Any change to a collision answer, the NN order or
+ * PRM's attach order moves a count or a cost here.
+ */
+TEST(KernelPins, ArmPlannerOutputsArePinned)
+{
+    constexpr std::uint64_t kNoSeries = 0xcbf29ce484222325ULL;
+    struct Pin
+    {
+        const char *kernel;
+        std::vector<std::string> args;
+        std::map<std::string, double> metrics;
+        std::uint64_t series_digest;
+    };
+    const Pin pins[] = {
+        {"prm",
+         {"--threads", "1"},
+         {{"l2_norm_evals", 0x1.75p+8},
+          {"offline_collision_checks", 0x1.bab1p+17},
+          {"path_cost_rad", 0x1.91258489f8944p+2},
+          {"roadmap_edges", 0x1.935p+13},
+          {"roadmap_nodes", 0x1.77p+11}},
+         kNoSeries},
+        {"rrt",
+         {},
+         {{"collision_checks", 0x1.b2p+9},
+          {"path_cost_rad", 0x1.61e0101c92cfdp+2},
+          {"samples", 0x1.a2p+7},
+          {"tree_size", 0x1.d8p+6}},
+         kNoSeries},
+        {"rrtstar",
+         {"--samples", "2500"},
+         {{"collision_checks", 0x1.686p+12},
+          {"path_cost_rad", 0x1.258c7ba99cde4p+2},
+          {"rewires", 0x0p+0},
+          {"samples", 0x1.a2p+9},
+          {"tree_size", 0x1.68p+8}},
+         kNoSeries},
+        {"rrtpp",
+         {},
+         {{"cost_after_rad", 0x1.db77904eb9a4ep+1},
+          {"cost_before_rad", 0x1.61e0101c92cfdp+2},
+          {"path_cost_rad", 0x1.db77904eb9a4ep+1},
+          {"samples", 0x1.a2p+7},
+          {"shortcuts_applied", 0x1.8p+2}},
+         kNoSeries},
+    };
+    for (const Pin &pin : pins) {
+        const KernelReport report =
+            makeKernel(pin.kernel)->runWithDefaults(pin.args);
+        ASSERT_TRUE(report.success) << pin.kernel;
+        std::size_t reproducible = 0;
+        for (const auto &[key, value] : report.metrics) {
+            if (isTimingMetric(key))
+                continue;
+            ++reproducible;
+            const auto expected = pin.metrics.find(key);
+            if (expected == pin.metrics.end()) {
+                ADD_FAILURE() << pin.kernel << ": unpinned metric " << key;
+                continue;
+            }
+            EXPECT_TRUE(sameBits(value, expected->second))
+                << pin.kernel << " " << key << " = " << std::hexfloat
+                << value << ", pinned " << expected->second;
+        }
+        EXPECT_EQ(reproducible, pin.metrics.size()) << pin.kernel;
+        std::uint64_t digest = kNoSeries;
+        for (const auto &[key, values] : report.series) {
+            digest = fnv1a(key.data(), key.size(), digest);
+            digest = fnv1a(values.data(), values.size() * sizeof(double),
+                           digest);
+        }
+        EXPECT_EQ(digest, pin.series_digest) << pin.kernel;
+    }
 }
 
 } // namespace

@@ -11,15 +11,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "arm/cspace.h"
 #include "arm/workspace.h"
 #include "geom/angle.h"
@@ -37,43 +35,6 @@
 #include "search/search_engine.h"
 #include "search/spacetime_planner.h"
 #include "util/rng.h"
-
-// ---------------------------------------------------------------------
-// Global allocation counter: the zero-allocation contract of warm
-// workspaces is asserted by counting every operator new in the
-// process. Single-threaded tests sample the counter around the call
-// under test, so unrelated allocations cannot leak in.
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<std::size_t> g_news{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-// The replacement operator new above is malloc-backed, so freeing in
-// the replacement deletes is correct; GCC's mismatch heuristic cannot
-// see through the replacement.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace rtr {
 namespace {
@@ -528,15 +489,7 @@ TEST(SearchFlatFuzz, PrmQueryMatchesHeapEngine)
 // Zero-allocation contract
 // ---------------------------------------------------------------------
 
-/** Allocations performed by @p fn (single-threaded exact count). */
-template <typename Fn>
-std::size_t
-allocationsDuring(Fn &&fn)
-{
-    const std::size_t before = g_news.load(std::memory_order_relaxed);
-    fn();
-    return g_news.load(std::memory_order_relaxed) - before;
-}
+using rtr_test::allocationsDuring;
 
 /**
  * A warm flat workspace answers repeat queries without allocating on

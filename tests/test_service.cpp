@@ -438,6 +438,32 @@ TEST(ServiceTest, Pp2dPlanesMatchFootprintSweep)
     }
 }
 
+/**
+ * The default World's PRM answers, pinned: the canonical bytes of a
+ * fixed 256-request PrmQuery pool (found flag, cost, heuristic evals
+ * and path of each) hashed in order. Neither the roadmap build nor the
+ * attach step may move a byte.
+ */
+TEST(ServiceTest, PrmQueryPoolBytesArePinned)
+{
+    const World world;
+    Rng rng(77);
+    std::vector<Request> stream;
+    for (std::size_t i = 0; i < 256; ++i)
+        stream.push_back(world.randomPrm(rng));
+
+    const auto served = runOnWorld(world, stream, 1);
+    ASSERT_EQ(served.size(), stream.size());
+    std::uint64_t digest = 0xcbf29ce484222325ULL; // FNV-1a
+    for (const std::vector<std::uint8_t> &bytes : served) {
+        for (std::uint8_t byte : bytes) {
+            digest ^= byte;
+            digest *= 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(digest, 0x581d378c187527feULL);
+}
+
 /** wait() from another thread wakes when the worker finishes. */
 TEST(ServiceTest, WaitBlocksUntilCompletion)
 {
