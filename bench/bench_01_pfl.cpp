@@ -1,14 +1,11 @@
 /**
  * @file
  * §V.01 pfl — ray-casting share across five building regions (paper:
- * 67-78% of execution time), plus the Fig. 2 convergence series and
- * the hierarchical ray-cast engine's speedup over the scalar DDA.
+ * 67-78% of execution time), plus the Fig. 2 convergence series.
  *
- * The paper-claim table runs the scalar engine (probe every traversed
- * cell — the cost profile the paper measured); the engine comparison
- * then shows what the bitboard/pyramid engine does to the same
- * workload. Warmup runs (bench_common.h) keep first-touch faults out
- * of the reported times.
+ * The ray-caster probes every traversed cell — the cost profile the
+ * paper measured. Warmup runs (bench_common.h) keep first-touch faults
+ * out of the reported times.
  */
 
 #include "bench_common.h"
@@ -30,9 +27,8 @@ main(int argc, char **argv)
                  "ROI (ms)"});
     RunningStat raycast;
     for (int region = 0; region < 5; ++region) {
-        KernelReport report = runKernelWarm(
-            "pfl",
-            {"--region", std::to_string(region), "--raycast", "scalar"});
+        KernelReport report =
+            runKernelWarm("pfl", {"--region", std::to_string(region)});
         raycast.add(report.metrics.at("raycast_fraction"));
         const auto &spread = report.series.at("spread");
         table.addRow({std::to_string(region),
@@ -47,36 +43,6 @@ main(int argc, char **argv)
     std::cout << "\nmeasured ray-casting share: "
               << Table::pct(raycast.min()) << " - "
               << Table::pct(raycast.max()) << "   (paper: 67% - 78%)\n";
-
-    // Engine comparison on the default region: identical weights and
-    // metrics, different occupancy-query cost.
-    std::cout << "\nray-cast engine comparison (region 2, identical "
-                 "results):\n";
-    Table engines({"engine", "ROI (ms)", "raycast share",
-                   "probes/ray", "final err (m)"});
-    double scalar_roi = 0.0, hier_roi = 0.0, packet_roi = 0.0;
-    for (const std::string engine : {"scalar", "hier", "packet"}) {
-        KernelReport report =
-            runKernelWarm("pfl", {"--raycast", engine});
-        (engine == "scalar"
-             ? scalar_roi
-             : (engine == "hier" ? hier_roi : packet_roi)) =
-            report.roi_seconds;
-        engines.addRow(
-            {engine, Table::num(report.roi_seconds * 1e3, 0),
-             Table::pct(report.metrics.at("raycast_fraction")),
-             Table::num(report.metrics.at("probes_per_ray_" + engine), 1),
-             Table::num(report.metrics.at("final_error_m"), 2)});
-    }
-    engines.print();
-    if (hier_roi > 0.0) {
-        std::cout << "pfl ROI speedup (scalar -> hier): "
-                  << Table::num(scalar_roi / hier_roi, 2) << "x\n";
-    }
-    if (packet_roi > 0.0) {
-        std::cout << "pfl ROI speedup (scalar -> packet): "
-                  << Table::num(scalar_roi / packet_roi, 2) << "x\n";
-    }
 
     // Fig. 2 series detail for the default region.
     KernelReport fig2 = runKernelWarm("pfl");

@@ -56,8 +56,7 @@ BM_Raycast(benchmark::State &state)
 BENCHMARK(BM_Raycast);
 
 /**
- * The pfl-style scan workload on a fine (0.05 m) indoor map — the
- * configuration the bitboard/pyramid engine targets. The map is the
+ * The pfl-style scan workload on a fine (0.05 m) indoor map: the
  * standard 240x160 @ 0.25 m building upsampled 5x, so the geometry is
  * identical to the kernel's and only the cell count (1200x800) grows.
  */
@@ -77,37 +76,17 @@ freeScanOrigin(const OccupancyGrid2D &map)
 }
 
 void
-castScanFine(benchmark::State &state, RayEngine engine)
+BM_CastScanScalar(benchmark::State &state)
 {
     OccupancyGrid2D map = fineIndoorMap();
     Vec2 origin = freeScanOrigin(map);
     std::vector<double> out;
     for (auto _ : state) {
-        castScan(map, origin, -2.0, 4.0, 60, 20.0, out, engine);
+        castScan(map, origin, -2.0, 4.0, 60, 20.0, out);
         benchmark::DoNotOptimize(out.data());
     }
 }
-
-void
-BM_CastScanScalar(benchmark::State &state)
-{
-    castScanFine(state, RayEngine::Scalar);
-}
 BENCHMARK(BM_CastScanScalar);
-
-void
-BM_CastScanHier(benchmark::State &state)
-{
-    castScanFine(state, RayEngine::Hierarchical);
-}
-BENCHMARK(BM_CastScanHier);
-
-void
-BM_CastScanPacket(benchmark::State &state)
-{
-    castScanFine(state, RayEngine::Packet);
-}
-BENCHMARK(BM_CastScanPacket);
 
 void
 BM_FootprintCollision(benchmark::State &state)
@@ -535,9 +514,9 @@ BENCHMARK(BM_ChamferDistanceTransform);
 
 /**
  * --json mode: measure the castScan workload on the fine indoor map
- * with both engines (warmup per bench_common.h), assert bitwise
- * identity, and write a machine-readable baseline so future PRs can
- * track ns/ray and cells-visited/ray without parsing bench output.
+ * (warmup per bench_common.h) and write a machine-readable baseline so
+ * future PRs can track ns/ray and cells-visited/ray without parsing
+ * bench output.
  */
 int
 writeRaycastBaseline(const std::string &path)
@@ -558,55 +537,32 @@ writeRaycastBaseline(const std::string &path)
             origins.push_back(p);
     }
 
-    // Timed sweeps run the production (uncounted) engines — the stats
+    // Timed sweeps run the production (uncounted) cast — the stats
     // counters cost a per-step store each and would distort ns/ray.
-    auto sweep = [&](RayEngine engine, std::vector<double> &ranges) {
-        ranges.clear();
-        std::vector<double> scan;
-        for (const Vec2 &origin : origins) {
-            castScan(map, origin, -2.0, fov, n_rays, max_range, scan,
-                     engine);
-            ranges.insert(ranges.end(), scan.begin(), scan.end());
-        }
-    };
-    // Separate uninstrumented pass for traversal statistics.
-    auto count = [&](RayEngine engine, RayCastStats &stats) {
-        std::vector<double> scan;
+    std::vector<double> scan;
+    auto sweep = [&] {
         for (const Vec2 &origin : origins)
-            castScanCounted(map, origin, -2.0, fov, n_rays, max_range,
-                            scan, engine, stats);
+            castScan(map, origin, -2.0, fov, n_rays, max_range, scan);
     };
-
-    std::vector<double> scalar_ranges, hier_ranges, packet_ranges;
-    RayCastStats scalar_stats, hier_stats, packet_stats;
-    // Warmup passes (not measured).
-    for (int w = 0; w < rtr::bench::warmupRuns(); ++w) {
-        sweep(RayEngine::Scalar, scalar_ranges);
-        sweep(RayEngine::Hierarchical, hier_ranges);
-        sweep(RayEngine::Packet, packet_ranges);
-    }
+    for (int w = 0; w < rtr::bench::warmupRuns(); ++w)
+        sweep();
     // Best-of-N to shed scheduler noise on shared machines.
     const int reps = 5;
-    double scalar_sec = 1e300, hier_sec = 1e300, packet_sec = 1e300;
+    double sec = 1e300;
     for (int r = 0; r < reps; ++r) {
-        Stopwatch scalar_timer;
-        sweep(RayEngine::Scalar, scalar_ranges);
-        scalar_sec = std::min(scalar_sec, scalar_timer.elapsedSec());
-        Stopwatch hier_timer;
-        sweep(RayEngine::Hierarchical, hier_ranges);
-        hier_sec = std::min(hier_sec, hier_timer.elapsedSec());
-        Stopwatch packet_timer;
-        sweep(RayEngine::Packet, packet_ranges);
-        packet_sec = std::min(packet_sec, packet_timer.elapsedSec());
+        Stopwatch timer;
+        sweep();
+        sec = std::min(sec, timer.elapsedSec());
     }
-    count(RayEngine::Scalar, scalar_stats);
-    count(RayEngine::Hierarchical, hier_stats);
-    count(RayEngine::Packet, packet_stats);
+    // Separate counted pass for traversal statistics.
+    RayCastStats stats;
+    for (const Vec2 &origin : origins)
+        castScanCounted(map, origin, -2.0, fov, n_rays, max_range, scan,
+                        stats);
 
-    bool identical =
-        scalar_ranges == hier_ranges && scalar_ranges == packet_ranges;
-    const double rays =
-        static_cast<double>(origins.size()) * n_rays;
+    const double rays = static_cast<double>(origins.size()) * n_rays;
+    const double ns_per_ray = sec * 1e9 / rays;
+    const double cells_per_ray = static_cast<double>(stats.probes) / rays;
 
     std::ofstream file(path);
     if (!file) {
@@ -625,48 +581,17 @@ writeRaycastBaseline(const std::string &path)
     json.field("rays", static_cast<long long>(rays));
     json.field("max_range_m", max_range);
     json.beginObject("scalar");
-    json.field("ns_per_ray", scalar_sec * 1e9 / rays);
-    json.field("cells_per_ray",
-               static_cast<double>(scalar_stats.probes) / rays);
+    json.field("ns_per_ray", ns_per_ray);
+    json.field("cells_per_ray", cells_per_ray);
     json.endObject();
-    json.beginObject("hierarchical");
-    json.field("ns_per_ray", hier_sec * 1e9 / rays);
-    json.field("cells_per_ray",
-               static_cast<double>(hier_stats.probes) / rays);
-    json.field("steps_per_ray",
-               static_cast<double>(hier_stats.steps) / rays);
-    json.endObject();
-    json.beginObject("packet");
-    json.field("ns_per_ray", packet_sec * 1e9 / rays);
-    json.field("cells_per_ray",
-               static_cast<double>(packet_stats.probes) / rays);
-    json.field("steps_per_ray",
-               static_cast<double>(packet_stats.steps) / rays);
-    json.field("speedup", scalar_sec / packet_sec);
-    json.field("bitwise_identical", identical);
-    json.endObject();
-    json.field("speedup", scalar_sec / hier_sec);
-    json.field("bitwise_identical", identical);
     json.endObject();
     std::cout << "castScan baseline (" << static_cast<long long>(rays)
               << " rays, " << map.width() << "x" << map.height() << " @ "
               << map.resolution() << " m):\n"
-              << "  scalar: " << scalar_sec * 1e9 / rays
-              << " ns/ray, "
-              << static_cast<double>(scalar_stats.probes) / rays
-              << " cells/ray\n"
-              << "  hier:   " << hier_sec * 1e9 / rays << " ns/ray, "
-              << static_cast<double>(hier_stats.probes) / rays
-              << " probes/ray\n"
-              << "  packet: " << packet_sec * 1e9 / rays << " ns/ray, "
-              << static_cast<double>(packet_stats.probes) / rays
-              << " probes/ray, " << scalar_sec / packet_sec
-              << "x vs scalar\n"
-              << "  hier speedup: " << scalar_sec / hier_sec
-              << "x, bitwise identical: "
-              << (identical ? "yes" : "NO") << "\n"
+              << "  scalar: " << ns_per_ray << " ns/ray, "
+              << cells_per_ray << " cells/ray\n"
               << "  wrote " << path << "\n";
-    return identical ? 0 : 2;
+    return 0;
 }
 
 /** Fill a matrix with uniform(-1, 1) draws. */

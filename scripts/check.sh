@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Local CI: build + ctest across the sanitizer matrix.
 #
-#   scripts/check.sh              # release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service suite
+#   scripts/check.sh              # release asan ubsan tsan scalar nn-node batch-scalar search-heap service suite
 #   scripts/check.sh release asan # just those variants
 #
 # Each variant uses its own build tree (build-check-<variant>) so the
 # trees stay warm across runs. TSan runs the thread-focused suites
-# (Parallel/Telemetry) — the full suite under TSan is slow and the
+# (Parallel/Telemetry/Service/Mpmc, plus Raycast/CastScan for the ray
+# batch's parallelForChunks) — the full suite under TSan is slow and the
 # remaining tests are single-threaded by construction. The scalar
 # variant builds with -DRTR_FORCE_SCALAR_SIMD=ON so the portable
 # fallback of rtr::simd::VecD (the code path non-x86/ARM hosts compile)
@@ -15,13 +16,9 @@
 # default is the leaf-bucketed one) stays green too; it reuses the
 # release build tree. The batch-scalar variant does the same with
 # RTR_BATCH_ENGINE=scalar, keeping the reference rollout engine (the
-# default is the SoA batch engine) green. The raycast-packet variant
-# runs the full suite with RTR_RAYCAST=packet in the Release tree
-# (every ray cast through the SIMD packet engine) plus the
-# thread-focused suites in the TSan tree, since the packet scan path
-# runs under parallelForChunks. The search-heap variant does the same
-# for the reference graph-search engine (the default is the flat
-# SoA + d-ary one): the full suite with RTR_SEARCH=heap in the Release
+# default is the SoA batch engine) green. The search-heap variant does
+# the same for the reference graph-search engine (the default is the
+# flat SoA + d-ary one): the full suite with RTR_SEARCH=heap in the Release
 # tree, plus the search-touching service/thread suites in the TSan
 # tree, since the service workers plan concurrently whichever engine
 # is selected. The service variant smokes
@@ -44,28 +41,12 @@ cd "$(dirname "$0")/.."
 
 variants=("$@")
 if [ ${#variants[@]} -eq 0 ]; then
-    variants=(release asan ubsan tsan scalar nn-node batch-scalar raycast-packet search-heap service suite)
+    variants=(release asan ubsan tsan scalar nn-node batch-scalar search-heap service suite)
 fi
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
 for variant in "${variants[@]}"; do
-    if [ "${variant}" = "raycast-packet" ]; then
-        for mode in release tsan; do
-            rdir="build-check-${mode}"
-            rcmake=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
-            rtest=(--output-on-failure -j "${jobs}")
-            [ "${mode}" = "tsan" ] && rcmake+=(-DRTR_TSAN=ON) \
-                && rtest+=(-R 'Parallel|Telemetry|Raycast|CastScan')
-            echo "==== raycast-packet: configure + build (${rdir}) ===="
-            cmake -B "${rdir}" -S . "${rcmake[@]}" > /dev/null
-            cmake --build "${rdir}" -j "${jobs}"
-            echo "==== raycast-packet: ctest (${mode}) ===="
-            env RTR_RAYCAST=packet ctest --test-dir "${rdir}" \
-                "${rtest[@]}"
-        done
-        continue
-    fi
     if [ "${variant}" = "search-heap" ]; then
         for mode in release tsan; do
             hdir="build-check-${mode}"
@@ -151,7 +132,7 @@ sys.exit(1 if result["failed"] > 0 or dropped > 0 else 0)'
       asan)  cmake_args+=(-DRTR_ASAN=ON) ;;
       ubsan) cmake_args+=(-DRTR_UBSAN=ON) ;;
       tsan)  cmake_args+=(-DRTR_TSAN=ON)
-             test_args+=(-R 'Parallel|Telemetry|Service|Mpmc') ;;
+             test_args+=(-R 'Parallel|Telemetry|Service|Mpmc|CastScan|Raycast') ;;
       scalar) cmake_args+=(-DRTR_FORCE_SCALAR_SIMD=ON) ;;
       *) echo "unknown variant '${variant}'" >&2; exit 2 ;;
     esac

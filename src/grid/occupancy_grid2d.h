@@ -9,10 +9,10 @@
  * Occupancy is mirrored into a bit-packed BitPlane (the read path of
  * every hot query — 8x smaller working set than the byte array) and
  * summarized by a multi-level pyramid in which each level-k bit ORs an
- * 8x8 block of level k-1. The pyramid lets traversals (ray-casting,
- * line-of-sight sampling) prove entire macro-blocks empty with one bit
- * probe instead of up to 64^k cell probes. All mirrors are kept in
- * sync by setOccupied, so they are never stale.
+ * 8x8 block of level k-1. The pyramid lets queries (footprint
+ * collision, line-of-sight sampling) prove entire macro-blocks empty
+ * with one bit probe instead of up to 64^k cell probes. All mirrors
+ * are kept in sync by setOccupied, so they are never stale.
  */
 
 #ifndef RTR_GRID_OCCUPANCY_GRID2D_H
@@ -89,9 +89,9 @@ class OccupancyGrid2D
     /**
      * Occupancy probe through the byte array instead of the bitboard;
      * out-of-bounds counts as occupied. This is the pre-bitboard read
-     * path, kept (always in sync) so the scalar reference ray-cast
-     * engine reproduces the exact memory behaviour the paper profiled:
-     * one byte load per traversed cell over the full-size array.
+     * path, kept (always in sync) so the ray-caster reproduces the
+     * exact memory behaviour the paper profiled: one byte load per
+     * traversed cell over the full-size array.
      */
     bool
     occupiedByte(int x, int y) const
@@ -129,7 +129,7 @@ class OccupancyGrid2D
     /**
      * Whether the world point falls in an occupied (or outside) cell.
      * Inline (like occupied/worldToCell) so per-cell tests in hot loops
-     * such as castRay never cross a translation-unit boundary.
+     * never cross a translation-unit boundary.
      */
     bool
     occupiedWorld(const Vec2 &p) const

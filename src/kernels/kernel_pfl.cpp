@@ -6,7 +6,6 @@
 #include "grid/map_gen.h"
 #include "grid/raycast.h"
 #include "perception/particle_filter.h"
-#include "util/logging.h"
 #include "util/roi.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -71,12 +70,6 @@ PflKernel::addOptions(ArgParser &parser) const
     parser.addOption("init-radius", "5.0",
                      "Initial position uncertainty radius (m)");
     parser.addOption("seed", "1", "Random seed");
-    parser.addOption("raycast", rayEngineName(defaultRayEngine()),
-                     "Ray-cast engine: scalar (probe every cell; the "
-                     "fastest measured), hier (pyramid empty-region "
-                     "skipping) or packet (octant-binned SIMD packets); "
-                     "ranges and weights are bitwise identical across "
-                     "engines. Default honours RTR_RAYCAST");
     parser.addFlag("global", "Initialize uniformly over the whole map");
     addThreadsOption(parser);
     addBatchOption(parser);
@@ -118,10 +111,6 @@ PflKernel::run(const ArgParser &args) const
 
     // ---- Filter execution (the ROI) ----
     ParticleFilter filter(map, n_particles);
-    RayEngine ray_engine;
-    if (!parseRayEngine(args.get("raycast"), ray_engine))
-        fatal("--raycast must be 'scalar', 'hier' or 'packet'");
-    filter.setRayEngine(ray_engine);
     // --batch / RTR_BATCH_ENGINE force one engine for both phases;
     // otherwise each phase keeps its own default (motion SoA, weight
     // scalar — the sensor-model SoA leg measured below 1x).
@@ -169,44 +158,17 @@ PflKernel::run(const ArgParser &args) const
         report.phaseFraction("raycast");
 
     // Traversal diagnostics (outside the ROI): re-cast the final
-    // estimate's scan with counted engines to report how many cells
-    // each engine actually touches per ray on this map.
+    // estimate's scan counted, to report how many cells a ray touches
+    // on this map.
     {
-        RayCastStats hier, scalar;
-        const double beam_step =
-            n_beams > 1 ? scans[0].fov / static_cast<double>(n_beams)
-                        : 0.0;
-        for (int b = 0; b < n_beams; ++b) {
-            double angle = estimate.theta + scans[0].start_angle +
-                           static_cast<double>(b) * beam_step;
-            double fast = castRayCounted(map, estimate.position(), angle,
-                                         max_range, hier);
-            double slow = castRayScalarCounted(map, estimate.position(),
-                                               angle, max_range, scalar);
-            RTR_ASSERT(fast == slow,
-                       "ray-cast engines must agree bitwise");
-        }
-        RayCastStats packet;
-        std::vector<double> packet_ranges;
+        RayCastStats stats;
+        std::vector<double> ranges;
         castScanCounted(map, estimate.position(),
                         estimate.theta + scans[0].start_angle,
-                        scans[0].fov, n_beams, max_range, packet_ranges,
-                        RayEngine::Packet, packet);
-        for (int b = 0; b < n_beams; ++b) {
-            double angle = estimate.theta + scans[0].start_angle +
-                           static_cast<double>(b) * beam_step;
-            RTR_ASSERT(packet_ranges[static_cast<std::size_t>(b)] ==
-                           castRay(map, estimate.position(), angle,
-                                   max_range),
-                       "packet engine must agree bitwise");
-        }
+                        scans[0].fov, n_beams, max_range, ranges, stats);
         const double rays = static_cast<double>(n_beams > 0 ? n_beams : 1);
-        report.metrics["probes_per_ray_hier"] =
-            static_cast<double>(hier.probes) / rays;
         report.metrics["probes_per_ray_scalar"] =
-            static_cast<double>(scalar.probes) / rays;
-        report.metrics["probes_per_ray_packet"] =
-            static_cast<double>(packet.probes) / rays;
+            static_cast<double>(stats.probes) / rays;
     }
     report.series["spread"] = std::move(spread_series);
     return report;

@@ -185,7 +185,7 @@ ParticleFilter::measurementUpdate(const LaserScan &scan,
         ScopedPhase phase(profiler, "raycast");
         castScanBatch(map_, pose_scratch_, scan.start_angle, scan.fov,
                       static_cast<int>(n_beams), scan.max_range,
-                      expected_scratch_, ray_engine_);
+                      expected_scratch_);
     }
 
     // Score each particle's match under the beam mixture model: each

@@ -16,7 +16,6 @@
 
 #include "geom/pose.h"
 #include "grid/occupancy_grid2d.h"
-#include "grid/raycast.h"
 #include "util/batch_engine.h"
 #include "util/profiler.h"
 #include "util/rng.h"
@@ -118,24 +117,10 @@ class ParticleFilter
      * are cast in one castScanBatch call ("raycast" phase), then each
      * particle scores its match under the beam model ("weight" phase);
      * both phases run on the parallel runtime and produce weights
-     * bitwise identical at any thread count and under either ray-cast
-     * engine.
+     * bitwise identical at any thread count.
      */
     void measurementUpdate(const LaserScan &scan,
                            PhaseProfiler *profiler = nullptr);
-
-    /**
-     * Select the occupancy-query engine for measurement updates. The
-     * default comes from defaultRayEngine() (scalar, or the
-     * RTR_RAYCAST override): scalar probes every traversed cell (the
-     * paper-faithful cost profile), hier skips pyramid-certified empty
-     * blocks, and packet traces octant-binned SIMD ray packets through
-     * the same pyramid. Ranges, and therefore weights, are
-     * bitwise identical under every engine.
-     */
-    void setRayEngine(RayEngine engine) { ray_engine_ = engine; }
-
-    RayEngine rayEngine() const { return ray_engine_; }
 
     /**
      * Select the batched-model engine for *both* the motion and weight
@@ -223,7 +208,6 @@ class ParticleFilter
     MotionNoise motion_noise_;
     BeamSensorModel sensor_model_;
     std::vector<Particle> particles_;
-    RayEngine ray_engine_ = defaultRayEngine();
     BatchEngine motion_engine_ = defaultBatchEngine();
     BatchEngine weight_engine_ = defaultPflWeightEngine();
     std::size_t rays_cast_ = 0;

@@ -1,5 +1,6 @@
 #include "plan/rrt_star.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "pointcloud/nn_index.h"
@@ -32,6 +33,10 @@ RrtStarPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
     std::vector<ArmConfig> nodes{start};
     std::vector<std::uint32_t> parents{0};
     std::vector<double> cost_to_come{0.0};
+    // Children of each node, so a rewire can carry its cost drop down
+    // the moved subtree.
+    std::vector<std::vector<std::uint32_t>> children{{}};
+    std::vector<std::uint32_t> subtree;
     DynNnIndex tree(space_.dof(), config_.nn_engine);
     tree.insert(start, 0);
 
@@ -128,13 +133,20 @@ RrtStarPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
             nodes.push_back(new_config);
             parents.push_back(parent);
             cost_to_come.push_back(new_cost);
+            children.emplace_back();
+            children[parent].push_back(new_id);
             tree.insert(new_config, new_id);
         }
 
         // Rewire: reconnect neighbors through the new node when that
-        // shortens their cost-to-come (paper Fig. 11).
+        // shortens their cost-to-come (paper Fig. 11). The neighbor's
+        // whole subtree gets cheaper by the same route, so every
+        // descendant's cost is recomputed as parent cost + edge length;
+        // later choose-parent, rewire and goal comparisons read the
+        // costs a fresh pass from the root would give.
         {
             ScopedPhase phase(profiler, "rewire");
+            const std::size_t rewires_before = result.rewires;
             for (const KdHit &hit : neighbors) {
                 double through =
                     new_cost +
@@ -142,11 +154,33 @@ RrtStarPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
                 if (through + 1e-12 < cost_to_come[hit.id] &&
                     !checker_.motionCollides(new_config, nodes[hit.id],
                                              config_.collision_step)) {
+                    auto &siblings = children[parents[hit.id]];
+                    siblings.erase(std::find(siblings.begin(),
+                                             siblings.end(), hit.id));
+                    children[new_id].push_back(hit.id);
                     parents[hit.id] = new_id;
                     cost_to_come[hit.id] = through;
                     ++result.rewires;
+                    subtree.assign(children[hit.id].begin(),
+                                   children[hit.id].end());
+                    while (!subtree.empty()) {
+                        const std::uint32_t node = subtree.back();
+                        subtree.pop_back();
+                        const std::uint32_t up = parents[node];
+                        cost_to_come[node] =
+                            cost_to_come[up] +
+                            ConfigSpace::distance(nodes[up], nodes[node]);
+                        subtree.insert(subtree.end(),
+                                       children[node].begin(),
+                                       children[node].end());
+                    }
                 }
             }
+            // A rewired ancestor also lowers the best goal connection.
+            if (result.rewires != rewires_before && best_goal_parent >= 0)
+                best_goal_cost =
+                    cost_to_come[best_goal_parent] +
+                    ConfigSpace::distance(nodes[best_goal_parent], goal);
         }
 
         // Track the best connection to the goal.
@@ -173,20 +207,22 @@ RrtStarPlanner::plan(const ArmConfig &start, const ArmConfig &goal,
 
     result.tree_size = nodes.size();
     result.collision_checks = checker_.checksPerformed() - checks_before;
-    if (best_goal_parent < 0)
-        return result;
-
-    std::vector<ArmConfig> reversed{goal};
-    std::uint32_t cur = static_cast<std::uint32_t>(best_goal_parent);
-    while (true) {
-        reversed.push_back(nodes[cur]);
-        if (cur == 0)
-            break;
-        cur = parents[cur];
+    if (best_goal_parent >= 0) {
+        std::vector<ArmConfig> reversed{goal};
+        std::uint32_t cur = static_cast<std::uint32_t>(best_goal_parent);
+        while (true) {
+            reversed.push_back(nodes[cur]);
+            if (cur == 0)
+                break;
+            cur = parents[cur];
+        }
+        result.path.assign(reversed.rbegin(), reversed.rend());
+        result.cost = pathCost(result.path);
+        result.found = true;
     }
-    result.path.assign(reversed.rbegin(), reversed.rend());
-    result.cost = pathCost(result.path);
-    result.found = true;
+    result.tree_nodes = std::move(nodes);
+    result.tree_parents = std::move(parents);
+    result.tree_costs = std::move(cost_to_come);
     return result;
 }
 

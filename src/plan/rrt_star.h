@@ -57,6 +57,15 @@ struct RrtStarPlan : MotionPlan
 {
     /** Rewirings actually applied. */
     std::size_t rewires = 0;
+    /** The final tree's configurations; node 0 is the start. */
+    std::vector<ArmConfig> tree_nodes;
+    /** Parent of each tree node (node 0 is its own parent). */
+    std::vector<std::uint32_t> tree_parents;
+    /**
+     * Cost-to-come of each tree node: its parent's cost plus the edge
+     * length, exactly as a forward pass from the root computes it.
+     */
+    std::vector<double> tree_costs;
 };
 
 /** RRT* planner over a configuration space with a collision checker. */

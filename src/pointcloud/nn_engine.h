@@ -12,7 +12,7 @@
  *
  * Both return bitwise-identical hits under the documented (dist2, id)
  * tie-break, so the switch is a pure performance A/B: kernels expose it
- * as --nn {bucket,node} in the same style as --raycast/--simd, and the
+ * as --nn {bucket,node} in the same style as --search/--simd, and the
  * RTR_NN_ENGINE environment variable flips the default so the full test
  * suite can run against either engine (scripts/check.sh "node" leg).
  */

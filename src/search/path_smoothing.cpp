@@ -21,10 +21,10 @@ hasLineOfSight(const OccupancyGrid2D &grid, const Cell2 &a, const Cell2 &b)
     // occupancy probe; the region is clamped to the grid so
     // out-of-bounds samples (which count as blocked) always get
     // probed. Identical verdict to probing every sample. The two
-    // summary planes are hoisted (like castRay's probe path) so each
-    // non-skipped sample touches cached fields instead of re-walking
-    // the pyramid vector; levels past 2 are ignored — a 512-cell-wide
-    // certified block exceeds any smoothing segment worth skipping.
+    // summary planes are hoisted so each non-skipped sample touches
+    // cached fields instead of re-walking the pyramid vector; levels
+    // past 2 are ignored — a 512-cell-wide certified block exceeds any
+    // smoothing segment worth skipping.
     const BitPlane *l1 = nullptr;
     const BitPlane *l2 = nullptr;
     if (grid.pyramidLevels() >= 1)

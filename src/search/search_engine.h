@@ -18,7 +18,7 @@
  * expansion order — and therefore paths, costs, `expanded`, and
  * `peak_open` — is identical across engines at every thread count.
  * Kernels expose the switch as --search {flat,heap} in the same style
- * as --raycast/--nn/--batch, and the RTR_SEARCH environment variable
+ * as --nn/--batch, and the RTR_SEARCH environment variable
  * flips the default so the full test suite can run against either
  * engine (scripts/check.sh "search-heap" leg).
  */
@@ -66,9 +66,9 @@ parseSearchEngine(std::string_view name, SearchEngine &out)
  * Process-wide default engine: flat, unless RTR_SEARCH overrides
  * (read once). An unparseable value exits with status 2 (a
  * configuration error, not a runtime failure — a silently ignored typo
- * would quietly benchmark the wrong engine), matching the RTR_RAYCAST
- * convention. Config structs and planner constructors capture this
- * default; explicit --search flags override it per run.
+ * would quietly benchmark the wrong engine). Config structs and
+ * planner constructors capture this default; explicit --search flags
+ * override it per run.
  */
 inline SearchEngine
 defaultSearchEngine()

@@ -13,7 +13,7 @@
  * Both produce bitwise-identical rewards, traces, states and particle
  * weights at every environment count and thread count, so the switch is
  * a pure performance A/B: kernels expose it as --batch {soa,scalar} in
- * the same style as --nn/--raycast/--simd, and the RTR_BATCH_ENGINE
+ * the same style as --nn/--search/--simd, and the RTR_BATCH_ENGINE
  * environment variable flips the default so the full test suite can run
  * against either engine (scripts/check.sh "batch-scalar" leg).
  */

@@ -98,28 +98,6 @@ struct VecD
     {
         return {_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)};
     }
-    /** Lane mask: all-ones where a == b, all-zeros elsewhere. */
-    static VecD cmpEQ(VecD a, VecD b)
-    {
-        return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)};
-    }
-    /** Bitwise a & b (mask combination). */
-    static VecD bitAnd(VecD a, VecD b)
-    {
-        return {_mm256_and_pd(a.v, b.v)};
-    }
-    /** Bitwise a | b (mask combination). */
-    static VecD bitOr(VecD a, VecD b)
-    {
-        return {_mm256_or_pd(a.v, b.v)};
-    }
-    /** Bitwise ~a & b (clear b's lanes where the a mask is set). */
-    static VecD andNot(VecD a, VecD b)
-    {
-        return {_mm256_andnot_pd(a.v, b.v)};
-    }
-    /** One bit per lane (bit i = lane i's sign/mask bit). */
-    static int signMask(VecD a) { return _mm256_movemask_pd(a.v); }
     /** Bitwise blend: lanes of a where mask is all-ones, else b. */
     static VecD select(VecD mask, VecD a, VecD b)
     {
@@ -174,22 +152,6 @@ struct VecD
     {
         return {_mm_cmpgt_pd(a.v, b.v)};
     }
-    /** Lane mask: all-ones where a == b, all-zeros elsewhere. */
-    static VecD cmpEQ(VecD a, VecD b)
-    {
-        return {_mm_cmpeq_pd(a.v, b.v)};
-    }
-    /** Bitwise a & b (mask combination). */
-    static VecD bitAnd(VecD a, VecD b) { return {_mm_and_pd(a.v, b.v)}; }
-    /** Bitwise a | b (mask combination). */
-    static VecD bitOr(VecD a, VecD b) { return {_mm_or_pd(a.v, b.v)}; }
-    /** Bitwise ~a & b (clear b's lanes where the a mask is set). */
-    static VecD andNot(VecD a, VecD b)
-    {
-        return {_mm_andnot_pd(a.v, b.v)};
-    }
-    /** One bit per lane (bit i = lane i's sign/mask bit). */
-    static int signMask(VecD a) { return _mm_movemask_pd(a.v); }
     /** Bitwise blend: lanes of a where mask is all-ones, else b. */
     static VecD select(VecD mask, VecD a, VecD b)
     {
@@ -246,39 +208,6 @@ struct VecD
     {
         return {vreinterpretq_f64_u64(vcgtq_f64(a.v, b.v))};
     }
-    /** Lane mask: all-ones where a == b, all-zeros elsewhere. */
-    static VecD cmpEQ(VecD a, VecD b)
-    {
-        return {vreinterpretq_f64_u64(vceqq_f64(a.v, b.v))};
-    }
-    /** Bitwise a & b (mask combination). */
-    static VecD bitAnd(VecD a, VecD b)
-    {
-        return {vreinterpretq_f64_u64(
-            vandq_u64(vreinterpretq_u64_f64(a.v),
-                      vreinterpretq_u64_f64(b.v)))};
-    }
-    /** Bitwise a | b (mask combination). */
-    static VecD bitOr(VecD a, VecD b)
-    {
-        return {vreinterpretq_f64_u64(
-            vorrq_u64(vreinterpretq_u64_f64(a.v),
-                      vreinterpretq_u64_f64(b.v)))};
-    }
-    /** Bitwise ~a & b (clear b's lanes where the a mask is set). */
-    static VecD andNot(VecD a, VecD b)
-    {
-        return {vreinterpretq_f64_u64(
-            vbicq_u64(vreinterpretq_u64_f64(b.v),
-                      vreinterpretq_u64_f64(a.v)))};
-    }
-    /** One bit per lane (bit i = lane i's sign/mask bit). */
-    static int signMask(VecD a)
-    {
-        const uint64x2_t u = vreinterpretq_u64_f64(a.v);
-        return static_cast<int>((vgetq_lane_u64(u, 0) >> 63) |
-                                ((vgetq_lane_u64(u, 1) >> 63) << 1));
-    }
     /** Bitwise blend: lanes of a where mask is all-ones, else b. */
     static VecD select(VecD mask, VecD a, VecD b)
     {
@@ -329,35 +258,6 @@ struct VecD
     {
         return {std::bit_cast<double>(
             a.v > b.v ? ~std::uint64_t{0} : std::uint64_t{0})};
-    }
-    /** Lane mask: all-ones where a == b, all-zeros elsewhere. */
-    static VecD cmpEQ(VecD a, VecD b)
-    {
-        return {std::bit_cast<double>(
-            a.v == b.v ? ~std::uint64_t{0} : std::uint64_t{0})};
-    }
-    /** Bitwise a & b (mask combination). */
-    static VecD bitAnd(VecD a, VecD b)
-    {
-        return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) &
-                                      std::bit_cast<std::uint64_t>(b.v))};
-    }
-    /** Bitwise a | b (mask combination). */
-    static VecD bitOr(VecD a, VecD b)
-    {
-        return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) |
-                                      std::bit_cast<std::uint64_t>(b.v))};
-    }
-    /** Bitwise ~a & b (clear b's lanes where the a mask is set). */
-    static VecD andNot(VecD a, VecD b)
-    {
-        return {std::bit_cast<double>(~std::bit_cast<std::uint64_t>(a.v) &
-                                      std::bit_cast<std::uint64_t>(b.v))};
-    }
-    /** One bit per lane (bit i = lane i's sign/mask bit). */
-    static int signMask(VecD a)
-    {
-        return static_cast<int>(std::bit_cast<std::uint64_t>(a.v) >> 63);
     }
     /** Bitwise blend: lanes of a where mask is all-ones, else b. */
     static VecD select(VecD mask, VecD a, VecD b)

@@ -135,11 +135,10 @@ TEST(KernelMetrics, BottlenecksMatchTableOne)
     };
 
     // pfl — ray-casting: every particle casts every beam each step, and
-    // each ray probes >= 10 cells on the scalar engine (the cost profile
-    // Table I measured), against one likelihood evaluation per ray in
-    // the weight phase and O(1) work per particle in motion/resample.
-    KernelReport pfl = run("pfl", {"--particles", "300", "--steps", "20",
-                                   "--raycast", "scalar"});
+    // each ray probes >= 10 cells (the cost profile Table I measured),
+    // against one likelihood evaluation per ray in the weight phase and
+    // O(1) work per particle in motion/resample.
+    KernelReport pfl = run("pfl", {"--particles", "300", "--steps", "20"});
     EXPECT_EQ(metric(pfl, "rays_cast"), 300.0 * 60.0 * 20.0);
     EXPECT_GE(metric(pfl, "probes_per_ray_scalar"), 10.0);
 
@@ -232,6 +231,52 @@ isTimingMetric(const std::string &key)
            key.find("_ns") != std::string::npos || key.rfind("ns_", 0) == 0;
 }
 
+/** A kernel's outputs at one configuration, pinned bit for bit. */
+struct Pin
+{
+    const char *kernel;
+    std::vector<std::string> args;
+    /** Every non-timing metric, as a hexfloat. */
+    std::map<std::string, double> metrics;
+    /** fnv1a over each series' name and values, in name order. */
+    std::uint64_t series_digest;
+};
+
+constexpr std::uint64_t kNoSeries = 0xcbf29ce484222325ULL;
+
+/** Run @p pin's kernel and compare every reproducible output. */
+void
+expectPinned(const Pin &pin)
+{
+    const KernelReport report =
+        makeKernel(pin.kernel)->runWithDefaults(pin.args);
+    ASSERT_TRUE(report.success) << pin.kernel;
+    std::size_t reproducible = 0;
+    for (const auto &[key, value] : report.metrics) {
+        if (isTimingMetric(key))
+            continue;
+        ++reproducible;
+        const auto expected = pin.metrics.find(key);
+        if (expected == pin.metrics.end()) {
+            ADD_FAILURE() << pin.kernel << ": unpinned metric " << key
+                          << " = " << std::hexfloat << value;
+            continue;
+        }
+        EXPECT_TRUE(sameBits(value, expected->second))
+            << pin.kernel << " " << key << " = " << std::hexfloat
+            << value << ", pinned " << expected->second;
+    }
+    EXPECT_EQ(reproducible, pin.metrics.size()) << pin.kernel;
+    std::uint64_t digest = kNoSeries;
+    for (const auto &[key, values] : report.series) {
+        digest = fnv1a(key.data(), key.size(), digest);
+        digest = fnv1a(values.data(), values.size() * sizeof(double),
+                       digest);
+    }
+    EXPECT_EQ(digest, pin.series_digest)
+        << pin.kernel << ": series digest 0x" << std::hex << digest;
+}
+
 /**
  * The arm planners' outputs at the suite's kernels-1t configurations,
  * pinned bit for bit: every non-timing metric as a hexfloat plus a
@@ -241,14 +286,6 @@ isTimingMetric(const std::string &key)
  */
 TEST(KernelPins, ArmPlannerOutputsArePinned)
 {
-    constexpr std::uint64_t kNoSeries = 0xcbf29ce484222325ULL;
-    struct Pin
-    {
-        const char *kernel;
-        std::vector<std::string> args;
-        std::map<std::string, double> metrics;
-        std::uint64_t series_digest;
-    };
     const Pin pins[] = {
         {"prm",
          {"--threads", "1"},
@@ -282,33 +319,27 @@ TEST(KernelPins, ArmPlannerOutputsArePinned)
           {"shortcuts_applied", 0x1.8p+2}},
          kNoSeries},
     };
-    for (const Pin &pin : pins) {
-        const KernelReport report =
-            makeKernel(pin.kernel)->runWithDefaults(pin.args);
-        ASSERT_TRUE(report.success) << pin.kernel;
-        std::size_t reproducible = 0;
-        for (const auto &[key, value] : report.metrics) {
-            if (isTimingMetric(key))
-                continue;
-            ++reproducible;
-            const auto expected = pin.metrics.find(key);
-            if (expected == pin.metrics.end()) {
-                ADD_FAILURE() << pin.kernel << ": unpinned metric " << key;
-                continue;
-            }
-            EXPECT_TRUE(sameBits(value, expected->second))
-                << pin.kernel << " " << key << " = " << std::hexfloat
-                << value << ", pinned " << expected->second;
-        }
-        EXPECT_EQ(reproducible, pin.metrics.size()) << pin.kernel;
-        std::uint64_t digest = kNoSeries;
-        for (const auto &[key, values] : report.series) {
-            digest = fnv1a(key.data(), key.size(), digest);
-            digest = fnv1a(values.data(), values.size() * sizeof(double),
-                           digest);
-        }
-        EXPECT_EQ(digest, pin.series_digest) << pin.kernel;
-    }
+    for (const Pin &pin : pins)
+        expectPinned(pin);
+}
+
+/**
+ * pfl's outputs at the suite's kernels-1t configuration, pinned the
+ * same way: the localization error and spreads, the ray and probe
+ * counts, and the digest of the Fig. 2 spread series. Any change to a
+ * ray-cast range moves a weight and, through resampling, every value
+ * here.
+ */
+TEST(KernelPins, PflOutputsArePinned)
+{
+    expectPinned({"pfl",
+                  {"--particles", "800", "--steps", "50", "--threads", "1"},
+                  {{"final_error_m", 0x1.2b06f14b7370ep-2},
+                   {"final_spread_m", 0x1.f05d5fd130c31p+1},
+                   {"initial_spread_m", 0x1.b57dd65e08adbp+1},
+                   {"probes_per_ray_scalar", 0x1.4155555555555p+4},
+                   {"rays_cast", 0x1.24f8p+21}},
+                  0x7def9c5e33fc240aULL});
 }
 
 } // namespace

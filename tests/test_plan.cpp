@@ -11,6 +11,8 @@
 #include "arm/cspace.h"
 #include "arm/workspace.h"
 #include "geom/angle.h"
+#include "kernels/kernel_arm_common.h"
+#include "kernels/registry.h"
 #include "plan/prm.h"
 #include "plan/rrt.h"
 #include "plan/rrt_star.h"
@@ -147,6 +149,29 @@ TEST_F(PlannersTest, RrtStarValidAndNotWorseOverSeeds)
     EXPECT_LT(star_total, rrt_total);
 }
 
+/**
+ * Every RRT* tree node's cost-to-come is, bit for bit, its parent's
+ * cost plus the edge length: what a fresh pass from the root gives.
+ */
+void
+expectTreeCostsFollowParents(const RrtStarPlan &plan)
+{
+    ASSERT_EQ(plan.tree_nodes.size(), plan.tree_size);
+    ASSERT_EQ(plan.tree_parents.size(), plan.tree_size);
+    ASSERT_EQ(plan.tree_costs.size(), plan.tree_size);
+    ASSERT_GT(plan.tree_size, 0u);
+    EXPECT_EQ(plan.tree_parents[0], 0u);
+    EXPECT_EQ(plan.tree_costs[0], 0.0);
+    for (std::size_t i = 1; i < plan.tree_size; ++i) {
+        const std::uint32_t up = plan.tree_parents[i];
+        EXPECT_EQ(plan.tree_costs[i],
+                  plan.tree_costs[up] +
+                      ConfigSpace::distance(plan.tree_nodes[up],
+                                            plan.tree_nodes[i]))
+            << "node " << i << " parent " << up;
+    }
+}
+
 TEST_F(PlannersTest, RrtStarReportsRewires)
 {
     RrtStarConfig config;
@@ -158,6 +183,30 @@ TEST_F(PlannersTest, RrtStarReportsRewires)
     RrtStarPlan plan = planner.plan(start_, goal_, rng);
     ASSERT_TRUE(plan.found);
     EXPECT_GT(plan.rewires, 0u);
+    expectTreeCostsFollowParents(plan);
+}
+
+TEST(RrtStarRewire, SubtreeCostsFollowTheirParents)
+{
+    // The rrtstar kernel's problem at `--samples 5000 --refine`, which
+    // rewires nodes that already have children.
+    const std::unique_ptr<Kernel> kernel = makeKernel("rrtstar");
+    ArgParser args("rrtstar");
+    kernel->addOptions(args);
+    args.parse(std::vector<std::string>{"--samples", "5000", "--refine"});
+    ArmProblem problem = makeArmProblem(args);
+    RrtStarConfig config;
+    config.max_samples = static_cast<std::size_t>(args.getInt("samples"));
+    config.step_size = args.getDouble("epsilon");
+    config.goal_bias = args.getDouble("bias");
+    config.rewire_radius = args.getDouble("radius");
+    config.refine_factor = 1e18;
+    RrtStarPlanner planner(problem.space, *problem.checker, config);
+    Rng rng(static_cast<std::uint64_t>(args.getInt("seed")));
+    RrtStarPlan plan = planner.plan(problem.start, problem.goal, rng);
+    ASSERT_TRUE(plan.found);
+    EXPECT_GT(plan.rewires, 0u);
+    expectTreeCostsFollowParents(plan);
 }
 
 TEST_F(PlannersTest, ShortcutNeverIncreasesCostAndStaysValid)
