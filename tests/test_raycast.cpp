@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "geom/angle.h"
@@ -161,47 +162,66 @@ digest(const std::vector<double> &ranges)
     return hash;
 }
 
-/**
+/*
  * castRay's ranges, pinned bit for bit: one FNV-1a digest per input
- * set, recorded when three engines still cross-checked each other on
- * these inputs. The sets are random maps at four densities (origins
- * free, occupied and off the map; ranges past the map edge),
- * cell-corner origins on axis and diagonal rays (the DDA's boundary
- * ties), and rays interleaved with bursts of cell edits.
+ * set, recorded when the scalar DDA was cross-checked against a
+ * hierarchical (pyramid-skipping) and a packet (SIMD) caster on these
+ * inputs. The RaycastHier* and RaycastPacket* names are kept from that
+ * time; the engines they compared are gone, so each now pins the
+ * scalar ranges those comparisons agreed on.
  */
-TEST(Raycast, ScalarRangesArePinned)
+
+/**
+ * Random maps at four densities: origins free, occupied and off the
+ * map, and ranges past the map edge.
+ */
+class RaycastHierFuzz : public ::testing::TestWithParam<double>
 {
-    std::vector<double> ranges;
-    const std::pair<double, std::uint64_t> densities[] = {
+};
+
+TEST_P(RaycastHierFuzz, BitwiseIdenticalToScalarAcrossDensities)
+{
+    const double density = GetParam();
+    const std::pair<double, std::uint64_t> pins[] = {
         {0.0, 0x7f482f215f6d9e03ULL},
         {0.02, 0x54e0680ef089d75fULL},
         {0.15, 0xa67f299cefa87d7eULL},
         {0.45, 0xaed2556f2aa7b7b2ULL},
     };
-    for (const auto &[density, pinned] : densities) {
-        ranges.clear();
-        Rng rng(static_cast<std::uint64_t>(density * 1000.0) + 3);
-        for (std::uint64_t map_seed = 1; map_seed <= 4; ++map_seed) {
-            OccupancyGrid2D grid =
-                makeRandomObstacleMap(96, 64, density, map_seed);
-            for (int i = 0; i < 250; ++i) {
-                Vec2 origin{rng.uniform(-2.0, 98.0),
-                            rng.uniform(-2.0, 66.0)};
-                double angle = rng.uniform(-kPi, kPi);
-                double max_range = rng.uniform(0.5, 140.0);
-                ranges.push_back(castRay(grid, origin, angle, max_range));
-            }
-        }
-        EXPECT_EQ(digest(ranges), pinned)
-            << "density " << density << ": 0x" << std::hex
-            << digest(ranges);
+    std::uint64_t pinned = 0;
+    for (const auto &[d, pin] : pins) {
+        if (d == density)
+            pinned = pin;
     }
+    ASSERT_NE(pinned, 0u) << "no pin for density " << density;
 
-    ranges.clear();
+    std::vector<double> ranges;
+    Rng rng(static_cast<std::uint64_t>(density * 1000.0) + 3);
+    for (std::uint64_t map_seed = 1; map_seed <= 4; ++map_seed) {
+        OccupancyGrid2D grid =
+            makeRandomObstacleMap(96, 64, density, map_seed);
+        for (int i = 0; i < 250; ++i) {
+            Vec2 origin{rng.uniform(-2.0, 98.0), rng.uniform(-2.0, 66.0)};
+            double angle = rng.uniform(-kPi, kPi);
+            double max_range = rng.uniform(0.5, 140.0);
+            ranges.push_back(castRay(grid, origin, angle, max_range));
+        }
+    }
+    EXPECT_EQ(digest(ranges), pinned)
+        << "density " << density << ": 0x" << std::hex << digest(ranges);
+}
+
+INSTANTIATE_TEST_SUITE_P(Densities, RaycastHierFuzz,
+                         ::testing::Values(0.0, 0.02, 0.15, 0.45));
+
+/** Cell-corner origins on axis and diagonal rays: the DDA's ties. */
+TEST(RaycastHier, CornerGrazingAndAxisAlignedRaysMatchScalar)
+{
     OccupancyGrid2D box = boxWorld();
     const double angles[] = {0.0,       kPi / 4.0,  kPi / 2.0,
                              3 * kPi / 4.0, kPi,    -kPi / 4.0,
                              -kPi / 2.0, -3 * kPi / 4.0};
+    std::vector<double> ranges;
     for (int x = 1; x <= 18; x += 3) {
         for (int y = 1; y <= 18; y += 3) {
             for (double angle : angles) {
@@ -213,10 +233,14 @@ TEST(Raycast, ScalarRangesArePinned)
     }
     EXPECT_EQ(digest(ranges), 0x37bb018b6ca52b2aULL)
         << "corners: 0x" << std::hex << digest(ranges);
+}
 
-    ranges.clear();
+/** Rays interleaved with bursts of cell edits. */
+TEST(RaycastHier, TracksDynamicEdits)
+{
     OccupancyGrid2D grid(100, 70, 0.5);
     Rng rng(31);
+    std::vector<double> ranges;
     for (int round = 0; round < 40; ++round) {
         for (int e = 0; e < 25; ++e) {
             grid.setOccupied(static_cast<int>(rng.index(100)),
@@ -233,6 +257,47 @@ TEST(Raycast, ScalarRangesArePinned)
         << "edits: 0x" << std::hex << digest(ranges);
 }
 
+/**
+ * castScanBatch splits the poses over the parallel pool; every thread
+ * count must give the per-pose casts bit for bit.
+ */
+TEST(RaycastPacket, BatchBitwiseIdenticalAcrossThreadCountsAndEngines)
+{
+    OccupancyGrid2D grid = makeIndoorMap(120, 80, 0.25, 5);
+    Rng rng(19);
+    std::vector<Pose2> poses;
+    while (poses.size() < 30) {
+        Pose2 pose{rng.uniform(1.0, 29.0), rng.uniform(1.0, 19.0),
+                   rng.uniform(-kPi, kPi)};
+        if (!grid.occupiedWorld(pose.position()))
+            poses.push_back(pose);
+    }
+    const int n_beams = 32;
+    const double start_angle = -2.0, fov = 4.0, max_range = 12.0;
+    const double beam_step = fov / static_cast<double>(n_beams);
+    std::vector<double> reference;
+    for (const Pose2 &pose : poses) {
+        for (int b = 0; b < n_beams; ++b) {
+            double angle = pose.theta + start_angle +
+                           static_cast<double>(b) * beam_step;
+            reference.push_back(
+                castRay(grid, pose.position(), angle, max_range));
+        }
+    }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                std::size_t{0}}) {
+        setParallelThreads(threads);
+        std::vector<double> batch;
+        castScanBatch(grid, poses, start_angle, fov, n_beams, max_range,
+                      batch);
+        ASSERT_EQ(batch.size(), reference.size());
+        EXPECT_EQ(0, std::memcmp(batch.data(), reference.data(),
+                                 batch.size() * sizeof(double)))
+            << "threads " << threads;
+    }
+    setParallelThreads(0);
+}
+
 TEST(CastScanBatch, MatchesPerPoseCastRay)
 {
     OccupancyGrid2D grid = makeIndoorMap(120, 80, 0.25, 5);
@@ -246,28 +311,20 @@ TEST(CastScanBatch, MatchesPerPoseCastRay)
     }
     const int n_beams = 24;
     const double start_angle = -2.0, fov = 4.0, max_range = 12.0;
+    std::vector<double> batch;
+    castScanBatch(grid, poses, start_angle, fov, n_beams, max_range,
+                  batch);
+    ASSERT_EQ(batch.size(), poses.size() * n_beams);
     const double beam_step = fov / static_cast<double>(n_beams);
-    // The batch splits the poses over the parallel pool; every thread
-    // count must give the per-pose casts bit for bit.
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                std::size_t{0}}) {
-        setParallelThreads(threads);
-        std::vector<double> batch;
-        castScanBatch(grid, poses, start_angle, fov, n_beams, max_range,
-                      batch);
-        ASSERT_EQ(batch.size(), poses.size() * n_beams);
-        for (std::size_t i = 0; i < poses.size(); ++i) {
-            for (int b = 0; b < n_beams; ++b) {
-                double angle = poses[i].theta + start_angle +
-                               static_cast<double>(b) * beam_step;
-                double expected = castRay(grid, poses[i].position(),
-                                          angle, max_range);
-                EXPECT_EQ(batch[i * n_beams + b], expected)
-                    << "threads " << threads;
-            }
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+        for (int b = 0; b < n_beams; ++b) {
+            double angle = poses[i].theta + start_angle +
+                           static_cast<double>(b) * beam_step;
+            double expected = castRay(grid, poses[i].position(), angle,
+                                      max_range);
+            EXPECT_EQ(batch[i * n_beams + b], expected);
         }
     }
-    setParallelThreads(0);
 }
 
 } // namespace
