@@ -619,11 +619,11 @@ bestOf(int reps, F &&body)
 
 /**
  * --json mode, dense-linalg block: time the GEMM and Cholesky
- * micro-kernels scalar vs SIMD across the EKF/GP-relevant size range,
- * assert bitwise identity at every size, rerun the two matrix-bound
- * kernels end-to-end under --simd 0/1, and write BENCH_gemm.json so
- * future PRs can track GFLOP/s and kernel ROI seconds. Returns nonzero
- * if any scalar/SIMD pair differs bitwise.
+ * micro-kernels scalar vs SIMD across the small-matrix/GP size range,
+ * assert bitwise identity at every size, rerun bo (the kernel whose ROI
+ * is GEMM/Cholesky-bound) end-to-end under --simd 0/1, and write
+ * BENCH_gemm.json so future PRs can track GFLOP/s and kernel ROI
+ * seconds. Returns nonzero if any scalar/SIMD pair differs bitwise.
  */
 int
 writeGemmBaseline(const std::string &path)
@@ -647,9 +647,11 @@ writeGemmBaseline(const std::string &path)
     std::cout << "dense-linalg baseline (backend " << simd::kBackendName
               << ", width " << simd::VecD::kWidth << "):\n";
 
-    // GEMM sweep. 8..35 bracket the EKF state sizes (n = 3 + 2L for
-    // 4..16 landmarks); 50 is the GP's largest Gram matrix; 64/96 show
-    // where the micro-kernel is heading asymptotically.
+    // GEMM sweep. 8..35 are the small sizes of earlier baselines (they
+    // bracketed the EKF state, n = 3 + 2L for 4..16 landmarks, before
+    // the EKF update stopped calling GEMM); 50 is the GP's largest Gram
+    // matrix; 64/96 show where the micro-kernel is heading
+    // asymptotically.
     json.beginArray("gemm");
     for (std::size_t n : {8u, 11u, 15u, 23u, 35u, 50u, 64u, 96u}) {
         Matrix a(n, n), b(n, n);
@@ -753,42 +755,26 @@ writeGemmBaseline(const std::string &path)
     }
     json.endArray();
 
-    // End-to-end: the two kernels whose ROI is ~entirely dense linalg.
-    // bo runs with 5000 candidates (vs the default 25000) to keep the
-    // baseline pass quick; acquisition still dominates its ROI.
-    struct E2E
-    {
-        const char *kernel;
-        std::vector<std::string> overrides;
-    };
-    const E2E runs[] = {
-        {"ekfslam", {"--landmarks", "16", "--steps", "400"}},
-        {"bo", {"--iterations", "45", "--candidates", "5000"}},
-    };
+    // End-to-end: bo, whose ROI is ~entirely dense linalg. It runs with
+    // 5000 candidates (vs the default 25000) to keep the baseline pass
+    // quick; acquisition still dominates its ROI.
+    const KernelReport scalar_report = rtr::bench::runKernelWarm(
+        "bo", {"--iterations", "45", "--candidates", "5000", "--simd", "0"});
+    const KernelReport simd_report = rtr::bench::runKernelWarm(
+        "bo", {"--iterations", "45", "--candidates", "5000", "--simd", "1"});
+    const double speedup =
+        scalar_report.roi_seconds / simd_report.roi_seconds;
     json.beginArray("end_to_end");
-    for (const E2E &run : runs) {
-        std::vector<std::string> scalar_args = run.overrides;
-        scalar_args.insert(scalar_args.end(), {"--simd", "0"});
-        std::vector<std::string> simd_args = run.overrides;
-        simd_args.insert(simd_args.end(), {"--simd", "1"});
-        const KernelReport scalar_report =
-            rtr::bench::runKernelWarm(run.kernel, scalar_args);
-        const KernelReport simd_report =
-            rtr::bench::runKernelWarm(run.kernel, simd_args);
-        json.beginObject();
-        json.field("kernel", run.kernel);
-        json.field("scalar_roi_seconds", scalar_report.roi_seconds);
-        json.field("simd_roi_seconds", simd_report.roi_seconds);
-        json.field("speedup",
-                   scalar_report.roi_seconds / simd_report.roi_seconds);
-        json.endObject();
-        std::cout << "  " << run.kernel << ": "
-                  << scalar_report.roi_seconds << " -> "
-                  << simd_report.roi_seconds << " s ROI ("
-                  << scalar_report.roi_seconds / simd_report.roi_seconds
-                  << "x)\n";
-    }
+    json.beginObject();
+    json.field("kernel", "bo");
+    json.field("scalar_roi_seconds", scalar_report.roi_seconds);
+    json.field("simd_roi_seconds", simd_report.roi_seconds);
+    json.field("speedup", speedup);
+    json.endObject();
     json.endArray();
+    std::cout << "  bo: " << scalar_report.roi_seconds << " -> "
+              << simd_report.roi_seconds << " s ROI (" << speedup
+              << "x)\n";
     json.field("bitwise_identical", all_identical);
     json.endObject();
     std::cout << "  wrote " << path << "\n";

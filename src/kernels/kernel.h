@@ -48,7 +48,7 @@ void applyThreadsOption(const ArgParser &args);
 
 /**
  * Register the standard --simd option shared by the dense-linalg-bound
- * kernels (ekfslam, bo, srec): 1 = SIMD micro-kernels (the default),
+ * kernels (bo, srec): 1 = SIMD micro-kernels (the default),
  * 0 = the preserved scalar reference paths. The two are bitwise
  * identical for GEMM/factorization (DESIGN.md "Dense linear algebra");
  * the switch exists for scalar/SIMD A/B timing on one binary.

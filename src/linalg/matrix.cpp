@@ -569,49 +569,4 @@ multiplyTransposed(const Matrix &a, const Matrix &b)
     return out;
 }
 
-void
-symmetricSandwich(const Matrix &h, const Matrix &p, Matrix &out, Matrix &work)
-{
-    RTR_ASSERT(p.rows() == p.cols(), "symmetricSandwich: P must be square");
-    RTR_ASSERT(h.cols() == p.rows(),
-               "symmetricSandwich shape mismatch: H is ", h.rows(), "x",
-               h.cols(), ", P is ", p.rows(), "x", p.cols());
-    RTR_ASSERT(!sameBuffer(out, h) && !sameBuffer(out, p) &&
-                   !sameBuffer(work, h) && !sameBuffer(work, p) &&
-                   !sameBuffer(out, work),
-               "symmetricSandwich output/workspace aliases an input");
-    gemm(h, p, work, 1.0, 0.0);          // work = H P
-    multiplyTransposed(work, h, out);    // out  = (H P) Hᵀ
-}
-
-void
-addScaledOuter(Matrix &c, double alpha, const Matrix &x, const Matrix &y)
-{
-    RTR_ASSERT(x.cols() == 1 && y.cols() == 1,
-               "addScaledOuter expects column vectors");
-    RTR_ASSERT(c.rows() == x.rows() && c.cols() == y.rows(),
-               "addScaledOuter shape mismatch: C is ", c.rows(), "x",
-               c.cols(), ", outer product is ", x.rows(), "x", y.rows());
-    RTR_ASSERT(!sameBuffer(c, x) && !sameBuffer(c, y),
-               "addScaledOuter output aliases an input");
-    const std::size_t m = c.rows();
-    const std::size_t n = c.cols();
-    const double *xp = x.data();
-    const double *yp = y.data();
-    for (std::size_t i = 0; i < m; ++i) {
-        const double s = alpha * xp[i];
-        double *crow = c.data() + i * n;
-        std::size_t j = 0;
-        if (g_simd_enabled) {
-            const VecD vs = VecD::broadcast(s);
-            for (; j + kW <= n; j += kW) {
-                VecD::mulAdd(VecD::load(crow + j), vs, VecD::load(yp + j))
-                    .store(crow + j);
-            }
-        }
-        for (; j < n; ++j)
-            crow[j] += s * yp[j];
-    }
-}
-
 } // namespace rtr

@@ -162,22 +162,6 @@ void multiplyTransposed(const Matrix &a, const Matrix &b, Matrix &out);
 /** Convenience allocating form of the above. */
 Matrix multiplyTransposed(const Matrix &a, const Matrix &b);
 
-/**
- * out = H * P * Hᵀ (the EKF innovation-covariance sandwich) with the
- * intermediate H*P kept in the caller-provided workspace `work` — no
- * hidden allocations once the workspaces have grown to size. H is
- * m x n, P is n x n, out becomes m x m and work m x n.
- */
-void symmetricSandwich(const Matrix &h, const Matrix &p, Matrix &out,
-                       Matrix &work);
-
-/**
- * Rank-1 update C += alpha * x * yᵀ for column vectors x (m x 1) and
- * y (n x 1); C must be m x n.
- */
-void addScaledOuter(Matrix &c, double alpha, const Matrix &x,
-                    const Matrix &y);
-
 } // namespace rtr
 
 #endif // RTR_LINALG_MATRIX_H

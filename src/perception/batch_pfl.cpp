@@ -13,7 +13,12 @@ namespace {
 
 constexpr std::size_t kW = VecD::kWidth;
 
-/** Verbatim weight loop of ParticleFilter::measurementUpdate. */
+/**
+ * The weight loop of ParticleFilter::measurementUpdate, negating after
+ * squaring: -(diff * diff) equals (-diff) * diff exactly for finite
+ * values, and it also gives a NaN range one sign whichever operand
+ * order the compiler emits for the product.
+ */
 void
 beamLogWeightsScalar(const double *expected, std::size_t count,
                      std::size_t n_beams, const double *scan_ranges,
@@ -27,7 +32,7 @@ beamLogWeightsScalar(const double *expected, std::size_t count,
         for (std::size_t b = 0; b < n_beams; ++b) {
             double diff = scan_ranges[b] - ranges[b];
             double density = model.z_hit * gauss_norm *
-                                 std::exp(-diff * diff * inv_sigma2) +
+                                 std::exp(-(diff * diff) * inv_sigma2) +
                              model.z_rand * rand_density;
             log_w += std::log(density + 1e-300);
         }
@@ -127,9 +132,10 @@ beamLogWeights(const double *expected, std::size_t count,
                 lane[l] = expected[(e + l) * n_beams + b];
             const VecD diffv =
                 VecD::broadcast(scan_ranges[b]) - VecD::load(lane);
-            // neg() is the sign-bit flip scalar -diff performs, so even
-            // a NaN range carries the same bits through both engines.
-            const VecD argv = (VecD::neg(diffv) * diffv) * inv2v;
+            // neg() is the sign-bit flip the scalar -(diff * diff)
+            // performs, so even a NaN range carries the same bits
+            // through both engines.
+            const VecD argv = VecD::neg(diffv * diffv) * inv2v;
             argv.store(lane);
             for (std::size_t l = 0; l < kW; ++l)
                 lane[l] = std::exp(lane[l]);

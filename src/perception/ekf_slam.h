@@ -3,7 +3,7 @@
  * EKF-SLAM with range-bearing landmark measurements (kernel 02.ekfslam).
  *
  * The joint state is the robot pose plus every observed landmark's
- * position; predict/update steps are the dense matrix operations the
+ * position; predict/update steps are the matrix operations the
  * paper identifies as >85% of the kernel's execution time (paper
  * Fig. 3: green landmark estimates, blue robot estimates, uncertainty
  * ellipses).
@@ -87,6 +87,12 @@ class EkfSlam
     /** Number of initialized landmarks. */
     int landmarkCount() const { return n_landmarks_; }
 
+    /** Full (3 + 2N) x 1 state mean. */
+    const Matrix &mean() const { return mu_; }
+
+    /** Full (3 + 2N) x (3 + 2N) state covariance. */
+    const Matrix &covariance() const { return sigma_; }
+
   private:
     std::size_t stateSize() const
     {
@@ -100,18 +106,11 @@ class EkfSlam
     Matrix mu_;     // (3 + 2N) x 1 mean
     Matrix sigma_;  // (3 + 2N) x (3 + 2N) covariance
 
-    // Update-step workspaces fed to the fused linalg entry points
-    // (gemm/multiplyTransposed/symmetricSandwich). Their heap blocks
-    // are reused across observations, so the inner loop stops
-    // allocating once the state has reached its final size.
-    Matrix h_;          // 2 x n measurement Jacobian
-    Matrix s_;          // 2 x 2 innovation covariance
-    Matrix hp_work_;    // 2 x n sandwich workspace (H Σ)
-    Matrix pht_;        // n x 2 cross covariance (Σ Hᵀ)
-    Matrix k_;          // n x 2 Kalman gain
-    Matrix kh_;         // n x n gain-times-Jacobian
-    Matrix sigma_tmp_;  // n x n covariance correction
-    Matrix innovation_; // 2 x 1
+    // The update's only n-sized workspace: the rows of Σ at H's five
+    // non-zero columns before the correction, 5 x n. Sized for the full
+    // map at construction, so only a first sighting (which grows the
+    // state) allocates.
+    std::vector<double> old_rows_;
 };
 
 /**

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "alloc_counter.h"
 #include "geom/angle.h"
+#include "linalg/decomp.h"
 #include "perception/ekf_slam.h"
 #include "util/rng.h"
 
@@ -136,6 +140,183 @@ TEST(EkfSlam, ProfilerAttributesMatrixOps)
     slam.update({obs}, &profiler);
     EXPECT_GT(profiler.phaseNs("matrix-ops"), 0);
     EXPECT_GE(profiler.phaseCount("matrix-ops"), 3);
+}
+
+/**
+ * The dense update EkfSlam::update ran before it worked on H's non-zero
+ * columns alone: H materialised as 2 x n, S = (H Σ) Hᵀ + Q,
+ * K = (Σ Hᵀ) S⁻¹ through LU, μ += K ν and Σ -= (K H) Σ, every product
+ * through the linalg GEMM entry points. Kept as the bitwise oracle for
+ * the column-sparse update; landmark initialization is copied too so
+ * the oracle can run the same observation batches.
+ */
+struct DenseEkfOracle
+{
+    explicit DenseEkfOracle(int max_landmarks)
+        : slot(static_cast<std::size_t>(max_landmarks), -1)
+    {
+    }
+
+    void
+    update(const std::vector<RangeBearing> &observations,
+           const EkfNoise &noise)
+    {
+        Matrix h, hp, s, pht, k, innovation, kh, sigma_tmp;
+        for (const RangeBearing &obs : observations) {
+            const auto id = static_cast<std::size_t>(obs.landmark_id);
+            if (slot[id] < 0) {
+                slot[id] = n_landmarks++;
+                double theta = mu(2, 0);
+                double lx = mu(0, 0) +
+                            obs.range * std::cos(theta + obs.bearing);
+                double ly = mu(1, 0) +
+                            obs.range * std::sin(theta + obs.bearing);
+                std::size_t n_old = 3 + 2 * static_cast<std::size_t>(slot[id]);
+                Matrix mu_new(n_old + 2, 1);
+                mu_new.setBlock(0, 0, mu);
+                mu_new(n_old, 0) = lx;
+                mu_new(n_old + 1, 0) = ly;
+                mu = std::move(mu_new);
+                Matrix sigma_new(n_old + 2, n_old + 2);
+                sigma_new.setBlock(0, 0, sigma);
+                sigma_new(n_old, n_old) = 1e3;
+                sigma_new(n_old + 1, n_old + 1) = 1e3;
+                sigma = std::move(sigma_new);
+            }
+            const std::size_t n = mu.rows();
+            std::size_t li = 3 + 2 * static_cast<std::size_t>(slot[id]);
+            double dx = mu(li, 0) - mu(0, 0);
+            double dy = mu(li + 1, 0) - mu(1, 0);
+            double q = dx * dx + dy * dy;
+            double sqrt_q = std::sqrt(q);
+            if (sqrt_q < 1e-9)
+                continue;
+            double expected_range = sqrt_q;
+            double expected_bearing =
+                normalizeAngle(std::atan2(dy, dx) - mu(2, 0));
+
+            h.resize(2, n);
+            h(0, 0) = -dx / sqrt_q;
+            h(0, 1) = -dy / sqrt_q;
+            h(0, 2) = 0.0;
+            h(0, li) = dx / sqrt_q;
+            h(0, li + 1) = dy / sqrt_q;
+            h(1, 0) = dy / q;
+            h(1, 1) = -dx / q;
+            h(1, 2) = -1.0;
+            h(1, li) = -dy / q;
+            h(1, li + 1) = dx / q;
+
+            gemm(h, sigma, hp, 1.0, 0.0);
+            multiplyTransposed(hp, h, s);
+            s(0, 0) += noise.range * noise.range;
+            s(1, 1) += noise.bearing * noise.bearing;
+            multiplyTransposed(sigma, h, pht);
+            Matrix s_inv = inverse(s);
+            gemm(pht, s_inv, k, 1.0, 0.0);
+
+            innovation.resize(2, 1);
+            innovation(0, 0) = obs.range - expected_range;
+            innovation(1, 0) =
+                normalizeAngle(obs.bearing - expected_bearing);
+            gemm(k, innovation, mu, 1.0, 1.0);
+            mu(2, 0) = normalizeAngle(mu(2, 0));
+            gemm(k, h, kh, 1.0, 0.0);
+            gemm(kh, sigma, sigma_tmp, 1.0, 0.0);
+            sigma -= sigma_tmp;
+        }
+    }
+
+    std::vector<int> slot;
+    int n_landmarks = 0;
+    Matrix mu;
+    Matrix sigma;
+};
+
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(double) * a.rows() * a.cols()) == 0;
+}
+
+/**
+ * The kernel's drive (a noisy circle from inside the landmark ring)
+ * with the filter stepped through predict and update. Before every
+ * update the oracle takes the filter's predicted state, runs the dense
+ * sequence on the same observations, and μ and Σ must then match bit
+ * for bit — so each step is checked on its own. The 120 steps map
+ * from 1 landmark (n = 5) up to 35 of the 40-landmark ring (n = 73).
+ */
+TEST(EkfSlam, UpdateMatchesDenseOracleBitwise)
+{
+    const double v = 1.2, omega = 0.18, dt = 0.1;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        for (int n_landmarks : {1, 6, 17, 40}) {
+            SlamWorld world = SlamWorld::make(n_landmarks, seed);
+            EkfNoise noise;
+            EkfSlam slam(n_landmarks, noise);
+            DenseEkfOracle oracle(n_landmarks);
+            Rng rng(seed * 7919 + 11);
+            Pose2 truth{6.0, 0.0, kPi / 2.0};
+            for (int t = 0; t < 120; ++t) {
+                if (t > 0) {
+                    truth.x += v * dt * std::cos(truth.theta);
+                    truth.y += v * dt * std::sin(truth.theta);
+                    truth.theta = normalizeAngle(truth.theta + omega * dt);
+                    slam.predict(v + rng.normal(0.0, 0.05),
+                                 omega + rng.normal(0.0, 0.01), dt);
+                }
+                const std::vector<RangeBearing> observations =
+                    world.observe(truth, noise, rng);
+                oracle.mu = slam.mean();
+                oracle.sigma = slam.covariance();
+                oracle.update(observations, noise);
+                slam.update(observations);
+                ASSERT_EQ(slam.landmarkCount(), oracle.n_landmarks);
+                ASSERT_TRUE(sameBits(slam.mean(), oracle.mu))
+                    << "seed " << seed << " landmarks " << n_landmarks
+                    << " step " << t;
+                ASSERT_TRUE(sameBits(slam.covariance(), oracle.sigma))
+                    << "seed " << seed << " landmarks " << n_landmarks
+                    << " step " << t;
+            }
+        }
+    }
+}
+
+/**
+ * Once every landmark is in the state, a predict + update step does no
+ * heap allocation: the update keeps its 2 x 2 innovation algebra on the
+ * stack and its only n-sized workspace reserved at construction.
+ */
+TEST(EkfSlam, WarmUpdateAllocatesNothing)
+{
+    const int n_landmarks = 6;
+    SlamWorld world = SlamWorld::make(n_landmarks, 2);
+    world.sensor_range = 100.0; // every landmark is seen at every step
+    EkfNoise noise;
+    EkfSlam slam(n_landmarks, noise);
+    PhaseProfiler profiler;
+    Rng rng(3);
+    Pose2 truth{6.0, 0.0, kPi / 2.0};
+    slam.update(world.observe(truth, noise, rng), &profiler);
+    ASSERT_EQ(slam.landmarkCount(), n_landmarks);
+    for (int t = 0; t < 20; ++t) {
+        truth.x += 0.12 * std::cos(truth.theta);
+        truth.y += 0.12 * std::sin(truth.theta);
+        truth.theta = normalizeAngle(truth.theta + 0.018);
+        const std::vector<RangeBearing> observations =
+            world.observe(truth, noise, rng);
+        ASSERT_EQ(observations.size(), static_cast<std::size_t>(n_landmarks));
+        EXPECT_EQ(rtr_test::allocationsDuring([&] {
+                      slam.predict(1.2, 0.18, 0.1, &profiler);
+                      slam.update(observations, &profiler);
+                  }),
+                  0u)
+            << "step " << t;
+    }
 }
 
 TEST(SlamWorld, ObservationGeometry)

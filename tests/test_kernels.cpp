@@ -342,5 +342,34 @@ TEST(KernelPins, PflOutputsArePinned)
                   0x7def9c5e33fc240aULL});
 }
 
+/**
+ * ekfslam's outputs at the suite's kernels-1t configuration (the
+ * defaults: 6 landmarks, n = 15) and at 40 landmarks (n = 83), pinned
+ * the same way: the pose and map errors, the final covariance trace
+ * and the digest of the covariance-trace and pose-error series. Any
+ * change to a term or its order in the EKF update moves a bit here.
+ */
+TEST(KernelPins, EkfSlamOutputsArePinned)
+{
+    const Pin pins[] = {
+        {"ekfslam",
+         {},
+         {{"final_cov_trace", 0x1.6a317eacb75e2p-6},
+          {"final_pose_error_m", 0x1.e5c8e9d1d3ea8p-5},
+          {"landmarks_mapped", 0x1.8p+2},
+          {"mean_landmark_error_m", 0x1.1ba792a98df67p-5}},
+         0x7a4ec04766c078f3ULL},
+        {"ekfslam",
+         {"--landmarks", "40"},
+         {{"final_cov_trace", 0x1.7eea1da02b29dp-5},
+          {"final_pose_error_m", 0x1.757b580f25c25p-7},
+          {"landmarks_mapped", 0x1.4p+5},
+          {"mean_landmark_error_m", 0x1.e1886924a9416p-6}},
+         0x4231d2baeb20709dULL},
+    };
+    for (const Pin &pin : pins)
+        expectPinned(pin);
+}
+
 } // namespace
 } // namespace rtr

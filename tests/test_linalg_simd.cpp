@@ -148,45 +148,6 @@ TEST(LinalgSimd, MultiplyTransposedBitwiseMatchesMaterializedTranspose)
     }
 }
 
-TEST(LinalgSimd, SymmetricSandwichBitwiseMatchesComposition)
-{
-    std::mt19937 rng(17);
-    for (std::size_t n = 1; n <= 17; ++n) {
-        Matrix h = randomMatrix(2, n, rng);
-        Matrix p = randomSpd(n, rng);
-        const Matrix ref =
-            h.multiplyScalar(p).multiplyScalar(h.transposed());
-        ScopedSimdKernels on(true);
-        Matrix out, work;
-        symmetricSandwich(h, p, out, work);
-        ASSERT_TRUE(bitwiseEqual(ref, out)) << "sandwich differs at n=" << n;
-    }
-}
-
-TEST(LinalgSimd, AddScaledOuterBitwiseMatchesScalar)
-{
-    std::mt19937 rng(19);
-    for (std::size_t m = 1; m <= 17; m += 2) {
-        for (std::size_t n = 1; n <= 17; n += 3) {
-            Matrix x = randomMatrix(m, 1, rng);
-            Matrix y = randomMatrix(n, 1, rng);
-            Matrix c0 = randomMatrix(m, n, rng);
-            Matrix c_scalar = c0;
-            {
-                ScopedSimdKernels off(false);
-                addScaledOuter(c_scalar, 1.25, x, y);
-            }
-            Matrix c_simd = c0;
-            {
-                ScopedSimdKernels on(true);
-                addScaledOuter(c_simd, 1.25, x, y);
-            }
-            ASSERT_TRUE(bitwiseEqual(c_scalar, c_simd))
-                << "addScaledOuter differs at " << m << "x" << n;
-        }
-    }
-}
-
 TEST(LinalgSimd, CholeskyFactorAndLogDetBitwiseAcrossSizes)
 {
     std::mt19937 rng(23);
@@ -292,25 +253,6 @@ TEST(LinalgSimdDeathTest, MultiplyTransposedAliasingTraps)
     Matrix b = Matrix::identity(4);
     EXPECT_DEATH(multiplyTransposed(a, b, a), "aliases");
     EXPECT_DEATH(multiplyTransposed(a, b, b), "aliases");
-}
-
-TEST(LinalgSimdDeathTest, SymmetricSandwichAliasingTraps)
-{
-    Matrix h = Matrix::identity(3);
-    Matrix p = Matrix::identity(3);
-    Matrix out, work;
-    EXPECT_DEATH(symmetricSandwich(h, p, h, work), "aliases");
-    EXPECT_DEATH(symmetricSandwich(h, p, out, p), "aliases");
-    Matrix shared = Matrix::identity(3);
-    EXPECT_DEATH(symmetricSandwich(h, p, shared, shared), "aliases");
-}
-
-TEST(LinalgSimdDeathTest, AddScaledOuterAliasingTraps)
-{
-    // 1x1 so the shape checks pass and the aliasing trap is what fires.
-    Matrix x(1, 1), y(1, 1);
-    EXPECT_DEATH(addScaledOuter(x, 1.0, x, y), "aliases");
-    EXPECT_DEATH(addScaledOuter(y, 1.0, x, y), "aliases");
 }
 
 TEST(LinalgSimd, NanPropagatesThroughZeroWeightedRows)
