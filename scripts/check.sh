@@ -7,7 +7,8 @@
 # Each variant uses its own build tree (build-check-<variant>) so the
 # trees stay warm across runs. TSan runs the thread-focused suites
 # (Parallel/Telemetry/Service/Mpmc, plus Raycast/CastScan for the ray
-# batch's parallelForChunks) — the full suite under TSan is slow and the
+# batch's parallelForChunks and SharedIndex/Icp for the parallel normal
+# batches inside ICP) — the full suite under TSan is slow and the
 # remaining tests are single-threaded by construction. The scalar
 # variant builds with -DRTR_FORCE_SCALAR_SIMD=ON so the portable
 # fallback of rtr::simd::VecD (the code path non-x86/ARM hosts compile)
@@ -132,7 +133,7 @@ sys.exit(1 if result["failed"] > 0 or dropped > 0 else 0)'
       asan)  cmake_args+=(-DRTR_ASAN=ON) ;;
       ubsan) cmake_args+=(-DRTR_UBSAN=ON) ;;
       tsan)  cmake_args+=(-DRTR_TSAN=ON)
-             test_args+=(-R 'Parallel|Telemetry|Service|Mpmc|CastScan|Raycast') ;;
+             test_args+=(-R 'Parallel|Telemetry|Service|Mpmc|CastScan|Raycast|SharedIndex|Icp') ;;
       scalar) cmake_args+=(-DRTR_FORCE_SCALAR_SIMD=ON) ;;
       *) echo "unknown variant '${variant}'" >&2; exit 2 ;;
     esac

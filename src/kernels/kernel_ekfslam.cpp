@@ -1,9 +1,11 @@
 #include "kernels/kernel_ekfslam.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "geom/angle.h"
 #include "perception/ekf_slam.h"
+#include "util/logging.h"
 #include "util/roi.h"
 #include "util/stopwatch.h"
 
@@ -24,8 +26,14 @@ KernelReport
 EkfSlamKernel::run(const ArgParser &args) const
 {
     KernelReport report;
-    const int n_landmarks = static_cast<int>(args.getInt("landmarks"));
-    const int steps = static_cast<int>(args.getInt("steps"));
+    const std::int64_t landmarks_arg = args.getInt("landmarks");
+    if (landmarks_arg < 1)
+        fatal("--landmarks must be >= 1, got ", landmarks_arg);
+    const std::int64_t steps_arg = args.getInt("steps");
+    if (steps_arg < 1)
+        fatal("--steps must be >= 1, got ", steps_arg);
+    const int n_landmarks = static_cast<int>(landmarks_arg);
+    const int steps = static_cast<int>(steps_arg);
     const double dt = args.getDouble("dt");
     const double v = args.getDouble("velocity");
     const double omega = args.getDouble("omega");

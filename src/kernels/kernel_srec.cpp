@@ -1,9 +1,11 @@
 #include "kernels/kernel_srec.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "perception/scene_reconstruction.h"
 #include "pointcloud/scene_gen.h"
+#include "util/logging.h"
 #include "util/roi.h"
 #include "util/stopwatch.h"
 
@@ -29,7 +31,14 @@ SrecKernel::run(const ArgParser &args) const
     KernelReport report;
     applyThreadsOption(args);
     applySimdOption(args);
-    const int frames = static_cast<int>(args.getInt("frames"));
+    const std::int64_t frames_arg = args.getInt("frames");
+    if (frames_arg < 2)
+        fatal("--frames must be >= 2, got ", frames_arg);
+    const int frames = static_cast<int>(frames_arg);
+    const double voxel = args.getDouble("voxel");
+    if (!std::isfinite(voxel) || voxel <= 0.0)
+        fatal("--voxel must be a finite number > 0, got '",
+              args.get("voxel"), "'");
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
 
     // ---- Input generation (outside the ROI) ----
@@ -46,7 +55,7 @@ SrecKernel::run(const ArgParser &args) const
         scans.push_back(simulateScan(scene, pose, camera, scan_rng));
 
     SceneRecConfig config;
-    config.voxel_size = args.getDouble("voxel");
+    config.voxel_size = voxel;
     config.icp.max_iterations =
         static_cast<int>(args.getInt("icp-iterations"));
     config.icp.max_correspondence_distance = 0.5;

@@ -21,28 +21,29 @@ SceneReconstructor::addScan(const PointCloud &scan, PhaseProfiler *profiler)
         return poses_.back();
     }
 
-    // One index of the model serves both the normal estimation and
-    // the registration below.
-    std::optional<PointCloudIndex> index;
-    {
-        ScopedPhase phase(profiler, "normals-nn-build");
-        index.emplace(model_, config_.icp.nn_engine);
-    }
-
-    // Surface normals of the current model (point-to-plane ICP target).
-    // The camera stays near the model centroid's side; orienting
-    // towards the previous camera position is sufficient.
-    std::vector<Vec3> normals =
-        estimateNormals(*index, 10, poses_.back().translation, profiler);
-
     // Constant-velocity seed: extrapolate the previous inter-frame
     // motion, as a visual-odometry front end would.
     RigidTransform3 seed = last_delta_.compose(poses_.back());
     PointCloud seeded = scan.transformed(seed);
-    IcpResult icp =
-        icpPointToPlane(seeded, *index, normals, config_.icp, profiler);
-    // The index refers into model_, which the merge below changes.
-    index.reset();
+
+    IcpResult icp;
+    {
+        // One index of the model serves both the normals and the
+        // registration. It refers into model_, which the merge below
+        // changes, so it ends with this scope.
+        std::optional<PointCloudIndex> index;
+        {
+            ScopedPhase phase(profiler, "normals-nn-build");
+            index.emplace(model_, config_.icp.nn_engine);
+        }
+        // Surface normals of the model (the point-to-plane target),
+        // estimated by ICP only for the points it matches. The camera
+        // stays near the model centroid's side; orienting towards the
+        // previous camera position is sufficient.
+        NormalTable normals(*index, 10, poses_.back().translation);
+        icp = icpPointToPlane(seeded, *index, normals, config_.icp,
+                              profiler);
+    }
     last_rmse_ = icp.rmse;
 
     RigidTransform3 pose = icp.transform.compose(seed);

@@ -48,10 +48,11 @@ class SceneReconstructor
      * merge it.
      *
      * The first scan defines the world frame. The model is indexed
-     * once per scan ("normals-nn-build"), and that index serves both
-     * the normal estimation ("normals-nn", "normals-eigen") and the
+     * once per scan ("normals-nn-build"), and that index serves the
      * point-to-plane registration ("icp-nn", "icp-solve",
-     * "icp-apply"); then "merge".
+     * "icp-apply"), which estimates the normals of the model points it
+     * matches as it first matches them ("normals-nn",
+     * "normals-eigen", per iteration); then "merge".
      *
      * @return Estimated world-from-camera transform of this scan.
      */

@@ -319,33 +319,53 @@ estimateNormals(const PointCloud &cloud, int k, const Vec3 &viewpoint,
     return estimateNormals(*index, k, viewpoint, profiler);
 }
 
-std::vector<Vec3>
-estimateNormals(const PointCloudIndex &index, int k, const Vec3 &viewpoint,
-                PhaseProfiler *profiler)
+NormalTable::NormalTable(const PointCloudIndex &index, int k,
+                         const Vec3 &viewpoint)
+    : index_(index), k_(static_cast<std::size_t>(k)), viewpoint_(viewpoint),
+      normals_(index.cloud().size()), ready_(index.cloud().size(), 0)
 {
     RTR_ASSERT(k >= 3, "normal estimation needs k >= 3");
-    const PointCloud &cloud = index.cloud();
-    const TargetIndex3 &tree = index.impl_->tree;
-    const auto n_points = cloud.size();
-    const auto kk = static_cast<std::size_t>(k);
+}
 
-    // Pass 1 (irregular memory): gather every point's neighborhood.
-    std::vector<std::uint32_t> neighbor_ids(n_points * kk);
+NormalTable::NormalTable(const PointCloudIndex &index,
+                         const std::vector<Vec3> &normals)
+    : index_(index), normals_(normals), ready_(normals.size(), 1)
+{
+    RTR_ASSERT(normals.size() == index.cloud().size(),
+               "one normal per target point required");
+}
+
+void
+NormalTable::estimate(const std::vector<std::uint32_t> &ids,
+                      PhaseProfiler *profiler)
+{
+    if (ids.empty())
+        return;
+    const PointCloud &cloud = index_.cloud();
+    const TargetIndex3 &tree = index_.impl_->tree;
+    const std::size_t n_ids = ids.size();
+    const std::size_t kk = k_;
+
+    // Pass 1 (irregular memory): gather each point's neighborhood.
+    std::vector<std::uint32_t> neighbor_ids(n_ids * kk);
     {
         ScopedPhase phase(profiler, "normals-nn");
-        std::vector<std::array<double, 3>> queries;
-        fillQueries(cloud, queries);
+        std::vector<std::array<double, 3>> queries(n_ids);
+        for (std::size_t i = 0; i < n_ids; ++i) {
+            const Vec3 &p = cloud[ids[i]];
+            queries[i] = {p.x, p.y, p.z};
+        }
         if (tree.engine == NnEngine::Bucket) {
             // Batched k-NN; each query's k slots are padded by
             // repeating its last hit when the cloud is smaller than k,
             // matching the scalar path below.
             std::vector<KdHit> hits;
             tree.bucket.kNearestBatch(queries, kk, hits);
-            for (std::size_t i = 0; i < n_points * kk; ++i)
+            for (std::size_t i = 0; i < n_ids * kk; ++i)
                 neighbor_ids[i] = hits[i].id;
         } else {
             parallelForChunks(
-                0, n_points, 0, [&](const ChunkRange &chunk) {
+                0, n_ids, 0, [&](const ChunkRange &chunk) {
                     std::vector<KdHit> nbrs; // reused across the chunk
                     for (std::size_t i = chunk.begin; i < chunk.end;
                          ++i) {
@@ -359,11 +379,10 @@ estimateNormals(const PointCloudIndex &index, int k, const Vec3 &viewpoint,
     }
 
     // Pass 2 (matrix operations): per-point covariance eigensolve.
-    std::vector<Vec3> normals(n_points);
     {
         ScopedPhase phase(profiler, "normals-eigen");
-        parallelFor(0, n_points, 0, [&](std::size_t i) {
-            const Vec3 &p = cloud[i];
+        parallelFor(0, n_ids, 0, [&](std::size_t i) {
+            const Vec3 &p = cloud[ids[i]];
             Vec3 mean;
             for (std::size_t j = 0; j < kk; ++j)
                 mean += cloud[neighbor_ids[i * kk + j]];
@@ -380,12 +399,23 @@ estimateNormals(const PointCloudIndex &index, int k, const Vec3 &viewpoint,
             const FixedSymmetricEigen<3> eig = symmetricEigenFixed<3>(cov);
             // Smallest-eigenvalue eigenvector = surface normal.
             Vec3 n{eig.vector(0, 2), eig.vector(1, 2), eig.vector(2, 2)};
-            if (n.dot(viewpoint - p) < 0.0)
+            if (n.dot(viewpoint_ - p) < 0.0)
                 n = -n;
-            normals[i] = n;
+            normals_[ids[i]] = n;
         });
     }
-    return normals;
+    estimated_ += n_ids;
+}
+
+std::vector<Vec3>
+estimateNormals(const PointCloudIndex &index, int k, const Vec3 &viewpoint,
+                PhaseProfiler *profiler)
+{
+    NormalTable table(index, k, viewpoint);
+    std::vector<std::uint32_t> all(index.cloud().size());
+    std::iota(all.begin(), all.end(), 0u);
+    table.estimate(all, profiler);
+    return std::move(table.normals_);
 }
 
 namespace {
@@ -424,10 +454,19 @@ icpPointToPlane(const PointCloud &source, const PointCloudIndex &index,
                 const std::vector<Vec3> &target_normals,
                 const IcpConfig &config, PhaseProfiler *profiler)
 {
+    NormalTable table(index, target_normals);
+    return icpPointToPlane(source, index, table, config, profiler);
+}
+
+IcpResult
+icpPointToPlane(const PointCloud &source, const PointCloudIndex &index,
+                NormalTable &target_normals, const IcpConfig &config,
+                PhaseProfiler *profiler)
+{
     const PointCloud &target = index.cloud();
     const TargetIndex3 &tree = index.impl_->tree;
-    RTR_ASSERT(target_normals.size() == target.size(),
-               "one normal per target point required");
+    RTR_ASSERT(&target_normals.index_ == &index,
+               "normal table of another index");
     RTR_ASSERT(source.size() >= 6 && target.size() >= 6,
                "point-to-plane ICP needs >= 6 points");
     IcpResult result;
@@ -435,6 +474,9 @@ icpPointToPlane(const PointCloud &source, const PointCloudIndex &index,
     PointCloud moved = source;
     std::vector<std::array<double, 3>> queries; // reused per iteration
     std::vector<KdHit> hits;                    // reused per iteration
+    std::vector<std::uint32_t> missing;         // reused per iteration
+    std::vector<unsigned char> &ready = target_normals.ready_;
+    const std::vector<Vec3> &normals = target_normals.normals_;
     double prev_rmse = std::numeric_limits<double>::max();
     const double max_d2 =
         config.max_correspondence_distance > 0.0
@@ -451,21 +493,36 @@ icpPointToPlane(const PointCloud &source, const PointCloudIndex &index,
         double b[6] = {};
         double err_sum = 0.0;
         std::size_t pairs = 0;
+        const std::size_t n_moved = moved.size();
         {
             ScopedPhase phase(profiler, "icp-nn");
             // Same parallel-map / ordered-serial-reduce split as
-            // icpRegister: concurrent kd-tree queries, then the 6x6
-            // normal-equation accumulation in sequential point order.
-            const std::size_t n_moved = moved.size();
+            // icpRegister: concurrent kd-tree queries, then serial
+            // passes in point order. This one lists the kept matches
+            // whose target has no normal yet, each once; the kept test
+            // is the accumulation's below, so the two agree on NaN.
             fillQueries(moved, queries);
             tree.nearestAll(queries, hits);
+            missing.clear();
+            for (std::size_t i = 0; i < n_moved; ++i) {
+                const KdHit &hit = hits[i];
+                if (hit.dist2 > max_d2 || ready[hit.id])
+                    continue;
+                ready[hit.id] = 1;
+                missing.push_back(hit.id);
+            }
+        }
+        target_normals.estimate(missing, profiler);
+        {
+            ScopedPhase phase(profiler, "icp-nn");
+            // The 6x6 normal-equation accumulation, in point order.
             for (std::size_t i = 0; i < n_moved; ++i) {
                 const KdHit &hit = hits[i];
                 if (hit.dist2 > max_d2)
                     continue;
                 const Vec3 &p = moved[i];
                 const Vec3 &q = target[hit.id];
-                const Vec3 &n = target_normals[hit.id];
+                const Vec3 &n = normals[hit.id];
                 double r = (p - q).dot(n);
                 Vec3 cxn = p.cross(n);
                 const double j[6] = {cxn.x, cxn.y, cxn.z, n.x, n.y, n.z};

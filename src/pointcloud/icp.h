@@ -11,6 +11,8 @@
 #ifndef RTR_POINTCLOUD_ICP_H
 #define RTR_POINTCLOUD_ICP_H
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -66,6 +68,7 @@ IcpResult icpRegister(const PointCloud &source, const PointCloud &target,
                       PhaseProfiler *profiler = nullptr);
 
 class IcpTargetIndex;
+class NormalTable;
 
 /**
  * Nearest-neighbor index over a cloud the caller owns: the cloud is
@@ -91,9 +94,50 @@ class PointCloudIndex
     const PointCloud &cloud() const;
 
   private:
+    friend class NormalTable;
     friend IcpResult icpRegister(const PointCloud &,
                                  const IcpTargetIndex &,
                                  const IcpConfig &, PhaseProfiler *);
+    friend IcpResult icpPointToPlane(const PointCloud &,
+                                     const PointCloudIndex &,
+                                     NormalTable &, const IcpConfig &,
+                                     PhaseProfiler *);
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
+
+/**
+ * The surface normals of an indexed cloud, estimated on demand and
+ * memoised: point-to-plane ICP estimates a point's normal the first
+ * time it keeps a correspondence to that point, so a registration pays
+ * only for the normals it reads. Each normal is the smallest-eigenvalue
+ * eigenvector of the point's k-neighborhood covariance, oriented
+ * towards the viewpoint. That is a pure function of the index, the
+ * point, k and the viewpoint (a batched kNN returns each query's hits
+ * whatever the rest of the batch is), so every normal here is bitwise
+ * the one estimateNormals returns for that point.
+ *
+ * The table refers to the index, which must outlive it.
+ */
+class NormalTable
+{
+  public:
+    /** A table over index.cloud() with no normal estimated yet. */
+    NormalTable(const PointCloudIndex &index, int k, const Vec3 &viewpoint);
+    /** A temporary index would dangle: use a named one. */
+    NormalTable(PointCloudIndex &&index, int k,
+                const Vec3 &viewpoint) = delete;
+
+    /** Whether point @p id has its normal. */
+    bool has(std::size_t id) const { return ready_[id] != 0; }
+
+    /** The normal of point @p id; has(id) must hold. */
+    const Vec3 &operator[](std::size_t id) const { return normals_[id]; }
+
+    /** How many normals this table has estimated (a work count). */
+    std::size_t estimatedCount() const { return estimated_; }
+
+  private:
     friend std::vector<Vec3> estimateNormals(const PointCloudIndex &, int,
                                              const Vec3 &,
                                              PhaseProfiler *);
@@ -101,8 +145,31 @@ class PointCloudIndex
                                      const PointCloudIndex &,
                                      const std::vector<Vec3> &,
                                      const IcpConfig &, PhaseProfiler *);
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
+    friend IcpResult icpPointToPlane(const PointCloud &,
+                                     const PointCloudIndex &,
+                                     NormalTable &, const IcpConfig &,
+                                     PhaseProfiler *);
+
+    /** A complete table: one given normal per point, none estimated. */
+    NormalTable(const PointCloudIndex &index,
+                const std::vector<Vec3> &normals);
+
+    /**
+     * Estimate the normals of @p ids (distinct points, none of which
+     * has one yet): one batched kNN over them ("normals-nn"), then a
+     * covariance eigensolve per point ("normals-eigen"). Enters no
+     * phase when @p ids is empty.
+     */
+    void estimate(const std::vector<std::uint32_t> &ids,
+                  PhaseProfiler *profiler);
+
+    const PointCloudIndex &index_;
+    std::size_t k_ = 0;
+    Vec3 viewpoint_;
+    std::vector<Vec3> normals_;
+    /** One byte per point: its normal is estimated (or being so). */
+    std::vector<unsigned char> ready_;
+    std::size_t estimated_ = 0;
 };
 
 /**
@@ -172,7 +239,8 @@ std::vector<Vec3> estimateNormals(const PointCloud &cloud, int k,
 
 /**
  * estimateNormals of index.cloud() over a prebuilt index: bitwise the
- * same normals, without the "normals-nn-build" phase.
+ * same normals, without the "normals-nn-build" phase. This is a
+ * NormalTable asked for every point.
  */
 std::vector<Vec3> estimateNormals(const PointCloudIndex &index, int k,
                                   const Vec3 &viewpoint,
@@ -201,6 +269,22 @@ IcpResult icpPointToPlane(const PointCloud &source,
 IcpResult icpPointToPlane(const PointCloud &source,
                           const PointCloudIndex &target,
                           const std::vector<Vec3> &target_normals,
+                          const IcpConfig &config = {},
+                          PhaseProfiler *profiler = nullptr);
+
+/**
+ * icpPointToPlane onto a prebuilt index of the target, estimating the
+ * target normals it reads on the way. Each iteration runs the
+ * correspondence search ("icp-nn"), estimates the normals of the
+ * matched points that have none yet ("normals-nn", "normals-eigen"),
+ * then accumulates the normal equations ("icp-nn" again). The result
+ * is bitwise that of the overloads above given estimateNormals(target,
+ * k, viewpoint) for the table's k and viewpoint, which run this same
+ * loop over a complete table.
+ */
+IcpResult icpPointToPlane(const PointCloud &source,
+                          const PointCloudIndex &target,
+                          NormalTable &target_normals,
                           const IcpConfig &config = {},
                           PhaseProfiler *profiler = nullptr);
 

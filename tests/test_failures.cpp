@@ -119,6 +119,31 @@ TEST(FailuresDeathTest, SymbolicTooFewObjectsIsFatal)
         ::testing::ExitedWithCode(1), "--waypoints must be >= 2");
 }
 
+TEST(FailuresDeathTest, EkfSlamEmptyRunIsFatal)
+{
+    auto kernel = makeKernel("ekfslam");
+    EXPECT_EXIT(kernel->runWithDefaults({"--steps", "0"}),
+                ::testing::ExitedWithCode(1), "--steps must be >= 1");
+    EXPECT_EXIT(kernel->runWithDefaults({"--landmarks", "0"}),
+                ::testing::ExitedWithCode(1), "--landmarks must be >= 1");
+}
+
+TEST(FailuresDeathTest, SrecBadFramesOrVoxelIsFatal)
+{
+    auto kernel = makeKernel("srec");
+    for (const char *frames : {"0", "1", "-4"}) {
+        EXPECT_EXIT(kernel->runWithDefaults({"--frames", frames}),
+                    ::testing::ExitedWithCode(1), "--frames must be >= 2")
+            << "--frames " << frames;
+    }
+    for (const char *voxel : {"0", "-0.04", "nan", "inf"}) {
+        EXPECT_EXIT(kernel->runWithDefaults({"--voxel", voxel}),
+                    ::testing::ExitedWithCode(1),
+                    "--voxel must be a finite number > 0")
+            << "--voxel " << voxel;
+    }
+}
+
 TEST(FailuresDeathTest, QuantileOfEmptySetPanics)
 {
     EXPECT_DEATH(quantile({}, 0.5), "empty sample set");

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "geom/angle.h"
 #include "pointcloud/icp.h"
@@ -193,6 +197,22 @@ livingRoomScans()
     return out;
 }
 
+/** Bitwise equality of two ICP results. */
+void
+expectSameResult(const IcpResult &a, const IcpResult &b)
+{
+    EXPECT_TRUE(sameBits(a.rmse, b.rmse));
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.converged, b.converged);
+    for (std::size_t i = 0; i < 9; ++i)
+        EXPECT_TRUE(sameBits(a.transform.rotation.data()[i],
+                             b.transform.rotation.data()[i]))
+            << "rotation " << i;
+    EXPECT_TRUE(sameBits(a.transform.translation.x, b.transform.translation.x));
+    EXPECT_TRUE(sameBits(a.transform.translation.y, b.transform.translation.y));
+    EXPECT_TRUE(sameBits(a.transform.translation.z, b.transform.translation.z));
+}
+
 TEST(SharedIndex, NormalsAndPointToPlaneMatchPerCallBuild)
 {
     const ScanPair scans = livingRoomScans();
@@ -234,19 +254,90 @@ TEST(SharedIndex, NormalsAndPointToPlaneMatchPerCallBuild)
                         sameBits(shared_normals[i].z, per_call_normals[i].z))
                 << "normal " << i;
         }
-        EXPECT_TRUE(sameBits(shared.rmse, per_call.rmse));
-        EXPECT_EQ(shared.iterations, per_call.iterations);
-        EXPECT_EQ(shared.converged, per_call.converged);
-        for (std::size_t i = 0; i < 9; ++i)
-            EXPECT_TRUE(sameBits(shared.transform.rotation.data()[i],
-                                 per_call.transform.rotation.data()[i]))
-                << "rotation " << i;
-        EXPECT_TRUE(sameBits(shared.transform.translation.x,
-                             per_call.transform.translation.x));
-        EXPECT_TRUE(sameBits(shared.transform.translation.y,
-                             per_call.transform.translation.y));
-        EXPECT_TRUE(sameBits(shared.transform.translation.z,
-                             per_call.transform.translation.z));
+        expectSameResult(shared, per_call);
+    }
+}
+
+/**
+ * The distinct model points that one ICP iteration from the identity
+ * keeps a match to: each scan point's nearest model point under the
+ * (dist2, id) order, by brute force, unless it lies beyond the cap.
+ */
+std::size_t
+distinctKeptMatches(const PointCloud &scan, const PointCloud &model,
+                    double max_distance)
+{
+    std::vector<bool> matched(model.size(), false);
+    for (const Vec3 &s : scan.points()) {
+        double best = std::numeric_limits<double>::max();
+        std::size_t best_id = 0;
+        for (std::size_t j = 0; j < model.size(); ++j) {
+            const double d[3] = {model[j].x - s.x, model[j].y - s.y,
+                                 model[j].z - s.z};
+            double d2 = 0.0;
+            for (double v : d)
+                d2 += v * v;
+            if (d2 < best) {
+                best = d2;
+                best_id = j;
+            }
+        }
+        if (max_distance == 0.0 || !(best > max_distance * max_distance))
+            matched[best_id] = true;
+    }
+    return static_cast<std::size_t>(
+        std::count(matched.begin(), matched.end(), true));
+}
+
+TEST(SharedIndex, LazyNormalsMatchEagerPointToPlane)
+{
+    const ScanPair scans = livingRoomScans();
+    const Vec3 viewpoint{0.0, 0.0, 1.0};
+    for (NnEngine engine : {NnEngine::Bucket, NnEngine::Node}) {
+        const PointCloudIndex index(scans.model, engine);
+        const std::vector<Vec3> eager_normals =
+            estimateNormals(index, 10, viewpoint);
+        for (double max_distance : {0.4, 0.0}) {
+            SCOPED_TRACE(std::string(nnEngineName(engine)) + " cap " +
+                         std::to_string(max_distance));
+            IcpConfig config;
+            config.max_correspondence_distance = max_distance;
+            const IcpResult eager =
+                icpPointToPlane(scans.scan, index, eager_normals, config);
+
+            NormalTable table(index, 10, viewpoint);
+            const IcpResult lazy =
+                icpPointToPlane(scans.scan, index, table, config);
+            expectSameResult(lazy, eager);
+
+            // Every normal the table holds is the eager one, and it
+            // estimated each once: far fewer than the model has.
+            std::size_t held = 0;
+            for (std::size_t i = 0; i < scans.model.size(); ++i) {
+                if (!table.has(i))
+                    continue;
+                ++held;
+                EXPECT_TRUE(sameBits(table[i].x, eager_normals[i].x) &&
+                            sameBits(table[i].y, eager_normals[i].y) &&
+                            sameBits(table[i].z, eager_normals[i].z))
+                    << "normal " << i;
+            }
+            EXPECT_EQ(table.estimatedCount(), held);
+            EXPECT_GT(held, 0u);
+            EXPECT_LT(held, scans.model.size());
+
+            // One iteration estimates exactly the normals of the
+            // points it keeps a match to: all matched points when
+            // nothing is capped.
+            config.max_iterations = 1;
+            NormalTable one_pass(index, 10, viewpoint);
+            expectSameResult(
+                icpPointToPlane(scans.scan, index, one_pass, config),
+                icpPointToPlane(scans.scan, index, eager_normals, config));
+            EXPECT_EQ(one_pass.estimatedCount(),
+                      distinctKeptMatches(scans.scan, scans.model,
+                                          max_distance));
+        }
     }
 }
 

@@ -371,5 +371,22 @@ TEST(KernelPins, EkfSlamOutputsArePinned)
         expectPinned(pin);
 }
 
+/**
+ * srec's outputs at the suite's kernels-1t configuration, pinned the
+ * same way: the final registration RMSE, the mean pose error, the
+ * model size and the digest of the per-frame ICP RMSE series. Any
+ * change to a normal that ICP reads, a correspondence or the merge
+ * moves a bit here.
+ */
+TEST(KernelPins, SrecOutputsArePinned)
+{
+    expectPinned({"srec",
+                  {"--frames", "8", "--threads", "1"},
+                  {{"final_rmse_m", 0x1.d741c648a404fp-7},
+                   {"mean_pose_error_m", 0x1.6d83d300998acp-9},
+                   {"model_points", 0x1.3b7cp+15}},
+                  0x8873c4f7569eb0cbULL});
+}
+
 } // namespace
 } // namespace rtr
