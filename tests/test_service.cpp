@@ -247,19 +247,47 @@ TEST(ServiceTest, UnknownTicketsAreHandledGracefully)
     EXPECT_EQ(svc.collect(Ticket{12345}).status, TicketStatus::Unknown);
 }
 
-/** Canonical bytes of every response, indexed like the stream. */
+/**
+ * n requests drawn with the default service mix pp2d:2,prm:1,nn:10,icp:2
+ * (the weights the suite's service-open workload draws with).
+ */
+std::vector<Request>
+mixedPool(const World &world, std::size_t n, std::uint64_t seed)
+{
+    constexpr std::size_t kWeights[] = {2, 1, 10, 2}; // by RequestType
+    Rng rng(seed);
+    std::vector<Request> pool;
+    pool.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t pick = rng.index(15);
+        std::size_t type = 0;
+        while (pick >= kWeights[type])
+            pick -= kWeights[type++];
+        pool.push_back(
+            world.randomRequest(static_cast<RequestType>(type), rng));
+    }
+    return pool;
+}
+
+/**
+ * Serve a stream on `workers` workers (0 = all pool threads), submitted
+ * in `order` (empty = stream order). Returns the canonical bytes of
+ * every response, indexed like the stream.
+ */
 std::vector<std::vector<std::uint8_t>>
-runOnce(const std::vector<Request> &stream,
-        const std::vector<std::size_t> &order, std::size_t workers)
+runOnWorld(const World &world, const std::vector<Request> &stream,
+           std::size_t workers, const std::vector<std::size_t> &order = {})
 {
     ServiceConfig config;
     config.workers = workers;
     config.queue_capacity = 2 * stream.size();
-    PlanningService svc(testWorld(), config);
+    PlanningService svc(world, config);
     svc.start();
     std::vector<Ticket> tickets(stream.size());
-    for (std::size_t idx : order)
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const std::size_t idx = order.empty() ? i : order[i];
         tickets[idx] = svc.submit(stream[idx]);
+    }
     svc.shutdown();
 
     std::vector<std::vector<std::uint8_t>> bytes(stream.size());
@@ -273,11 +301,14 @@ runOnce(const std::vector<Request> &stream,
 
 /**
  * The determinism contract: responses are bitwise identical across
- * submission orders and worker counts.
+ * submission orders and worker counts. 256 requests of the default mix
+ * on the default World; the all-threads run lets TSan see submits race
+ * a full set of workers.
  */
 TEST(ServiceTest, ReplayIsBitwiseDeterministic)
 {
-    const std::vector<Request> stream = mixedStream(48, 23);
+    const World world;
+    const std::vector<Request> stream = mixedPool(world, 256, 23);
     std::vector<std::size_t> forward(stream.size());
     std::iota(forward.begin(), forward.end(), std::size_t(0));
     std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
@@ -285,18 +316,21 @@ TEST(ServiceTest, ReplayIsBitwiseDeterministic)
     Rng rng(24);
     std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
 
-    const auto baseline = runOnce(stream, forward, 1);
+    const auto baseline = runOnWorld(world, stream, 1);
 
-    // The baseline must not be trivially empty: at least one planner
-    // response actually found something.
+    // The baseline must not be trivially empty: most responses carry
+    // more than a header.
     std::size_t nonempty = 0;
     for (const std::vector<std::uint8_t> &bytes : baseline)
         nonempty += bytes.size() > 16 ? 1 : 0;
     EXPECT_GT(nonempty, stream.size() / 2);
 
-    for (std::size_t workers : {std::size_t(1), std::size_t(2)}) {
+    for (std::size_t workers :
+         {std::size_t(1), std::size_t(2), std::size_t(0)}) {
         for (const auto *order : {&forward, &reversed, &shuffled}) {
-            const auto replay = runOnce(stream, *order, workers);
+            if (workers == 1 && order == &forward)
+                continue; // the baseline itself
+            const auto replay = runOnWorld(world, stream, workers, *order);
             ASSERT_EQ(replay.size(), baseline.size());
             for (std::size_t i = 0; i < baseline.size(); ++i)
                 EXPECT_EQ(replay[i], baseline[i])
@@ -304,31 +338,6 @@ TEST(ServiceTest, ReplayIsBitwiseDeterministic)
                     << workers << ")";
         }
     }
-}
-
-/** runOnce against an explicit world (cross-engine replay). */
-std::vector<std::vector<std::uint8_t>>
-runOnWorld(const World &world, const std::vector<Request> &stream,
-           std::size_t workers)
-{
-    ServiceConfig config;
-    config.workers = workers;
-    config.queue_capacity = 2 * stream.size();
-    PlanningService svc(world, config);
-    svc.start();
-    std::vector<Ticket> tickets;
-    tickets.reserve(stream.size());
-    for (const Request &request : stream)
-        tickets.push_back(svc.submit(request));
-    svc.shutdown();
-
-    std::vector<std::vector<std::uint8_t>> bytes(stream.size());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const Completion done = svc.collect(tickets[i]);
-        EXPECT_EQ(done.status, TicketStatus::Done);
-        appendCanonicalBytes(done.response, bytes[i]);
-    }
-    return bytes;
 }
 
 /**
