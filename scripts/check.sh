@@ -22,11 +22,11 @@
 # flat SoA + d-ary one): the full suite with RTR_SEARCH=heap in the Release
 # tree, plus the search-touching service/thread suites in the TSan
 # tree, since the service workers plan concurrently whichever engine
-# is selected. The service variant smokes
-# the planning-as-a-service runtime end to end: the service/MPMC test
-# suites and the FootprintPlanes oracle (the World's validity planes)
-# plus a bench_service run (its determinism replay exits 2 on
-# any divergence) in both the Release and TSan trees. The suite variant
+# is selected. The service variant runs the planning-as-a-service
+# tests in both the Release and TSan trees: the service/MPMC suites
+# (among them the determinism replay of a 256-request default-mix pool
+# across submission orders and worker counts) and the FootprintPlanes
+# oracle (the World's validity planes). The suite variant
 # runs the suite benchmark (suitebench/run.py, which builds its own tree
 # under .bench_build/) the way BENCHMARK.json does: kernels-1t and
 # kernels-mt for 3 s and service-open for the full 30 s (shorter
@@ -113,9 +113,6 @@ sys.exit(1 if result["failed"] > 0 or dropped > 0 else 0)'
             echo "==== service: ctest (${mode}) ===="
             ctest --test-dir "${sdir}" --output-on-failure -j "${jobs}" \
                 -R 'Service|Mpmc|FootprintPlanes'
-            echo "==== service: bench_service smoke (${mode}) ===="
-            "${sdir}/bench/bench_service" --requests 2000 \
-                --json "${sdir}/BENCH_service_smoke.json"
         done
         continue
     fi

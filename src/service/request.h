@@ -11,10 +11,9 @@
  * request or response may depend on arrival order, queue depth, or
  * worker count.
  *
- * Responses are plain value structs; canonicalBytes() flattens one
- * into a padding-free byte string so the determinism replay tests and
- * bench_service can memcmp responses across submission orders and
- * thread counts.
+ * Responses are plain value structs; appendCanonicalBytes() flattens
+ * one into a padding-free byte string so the determinism replay tests
+ * can memcmp responses across submission orders and thread counts.
  */
 
 #ifndef RTR_SERVICE_REQUEST_H

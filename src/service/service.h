@@ -176,9 +176,6 @@ class PlanningService
      */
     Completion collect(Ticket ticket);
 
-    /** Worker loops the dispatcher runs. */
-    std::size_t workerCount() const { return worker_count_; }
-
     /** Counter snapshot. */
     ServiceStats stats() const;
 
