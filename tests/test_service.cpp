@@ -447,6 +447,20 @@ TEST(ServiceTest, Pp2dPlanesMatchFootprintSweep)
     }
 }
 
+/** FNV-1a over every response's canonical bytes, in stream order. */
+std::uint64_t
+digestOf(const std::vector<std::vector<std::uint8_t>> &served)
+{
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const std::vector<std::uint8_t> &bytes : served) {
+        for (std::uint8_t byte : bytes) {
+            digest ^= byte;
+            digest *= 0x100000001b3ULL;
+        }
+    }
+    return digest;
+}
+
 /**
  * The default World's PRM answers, pinned: the canonical bytes of a
  * fixed 256-request PrmQuery pool (found flag, cost, heuristic evals
@@ -463,14 +477,22 @@ TEST(ServiceTest, PrmQueryPoolBytesArePinned)
 
     const auto served = runOnWorld(world, stream, 1);
     ASSERT_EQ(served.size(), stream.size());
-    std::uint64_t digest = 0xcbf29ce484222325ULL; // FNV-1a
-    for (const std::vector<std::uint8_t> &bytes : served) {
-        for (std::uint8_t byte : bytes) {
-            digest ^= byte;
-            digest *= 0x100000001b3ULL;
-        }
-    }
-    EXPECT_EQ(digest, 0x581d378c187527feULL);
+    EXPECT_EQ(digestOf(served), 0x581d378c187527feULL);
+}
+
+/**
+ * All four handlers pinned across commits: the bytes of the replay
+ * test's 256-request default-mix pool, served at 1 worker. The replay
+ * test only compares a build with itself; this digest fails when a
+ * change moves any response byte (a kNN tie-break, an ICP step, a
+ * planner's expansion order).
+ */
+TEST(ServiceTest, MixedPoolBytesArePinned)
+{
+    const World world;
+    const auto served = runOnWorld(world, mixedPool(world, 256, 23), 1);
+    ASSERT_EQ(served.size(), 256u);
+    EXPECT_EQ(digestOf(served), 0xe8cff8754e705384ULL);
 }
 
 /** wait() from another thread wakes when the worker finishes. */
