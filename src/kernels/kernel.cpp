@@ -25,6 +25,18 @@ applyThreadsOption(const ArgParser &args)
     setParallelThreads(static_cast<std::size_t>(n));
 }
 
+int
+intOptionInRange(const ArgParser &args, const std::string &name, int lo,
+                 int hi)
+{
+    const std::int64_t value = args.getInt(name);
+    if (value < lo)
+        fatal("--", name, " must be >= ", lo, ", got ", value);
+    if (value > hi)
+        fatal("--", name, " must be <= ", hi, ", got ", value);
+    return static_cast<int>(value);
+}
+
 void
 addSimdOption(ArgParser &parser)
 {

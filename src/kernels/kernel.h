@@ -11,6 +11,7 @@
 #ifndef RTR_KERNELS_KERNEL_H
 #define RTR_KERNELS_KERNEL_H
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,11 +48,20 @@ void addThreadsOption(ArgParser &parser);
 void applyThreadsOption(const ArgParser &args);
 
 /**
- * Register the standard --simd option shared by the dense-linalg-bound
- * kernels (bo, srec): 1 = SIMD micro-kernels (the default),
- * 0 = the preserved scalar reference paths. The two are bitwise
- * identical for GEMM/factorization (DESIGN.md "Dense linear algebra");
- * the switch exists for scalar/SIMD A/B timing on one binary.
+ * The integer option `name`, or fatal() when it is below `lo` or above
+ * `hi`. Kernels check their size options with it before building any
+ * input, so a bad value exits 1 with a message instead of crashing,
+ * hanging or tripping an internal assertion.
+ */
+int intOptionInRange(const ArgParser &args, const std::string &name,
+                     int lo, int hi = std::numeric_limits<int>::max());
+
+/**
+ * Register the --simd option of the dense-linalg-bound bo kernel:
+ * 1 = SIMD micro-kernels (the default), 0 = the preserved scalar
+ * reference paths. The two are bitwise identical for GEMM and
+ * factorization (DESIGN.md "Dense linear algebra"); the switch exists
+ * for scalar/SIMD A/B timing on one binary.
  */
 void addSimdOption(ArgParser &parser);
 

@@ -30,9 +30,9 @@ BoKernel::run(const ArgParser &args) const
     BallThrowEnv env(args.getDouble("goal"));
 
     BoConfig config;
-    config.iterations = static_cast<int>(args.getInt("iterations"));
+    config.iterations = intOptionInRange(args, "iterations", 1);
     config.candidates_per_iteration =
-        static_cast<int>(args.getInt("candidates"));
+        intOptionInRange(args, "candidates", 1);
     config.ucb_kappa = args.getDouble("kappa");
     config.batch_engine = batchEngineFromArgs(args);
     BayesOpt optimizer(config);

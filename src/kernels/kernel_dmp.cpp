@@ -22,17 +22,17 @@ KernelReport
 DmpKernel::run(const ArgParser &args) const
 {
     KernelReport report;
-    const int demo_samples =
-        static_cast<int>(args.getInt("demo-samples"));
+    const int demo_samples = intOptionInRange(args, "demo-samples", 3);
     const double dt = args.getDouble("dt");
-    const int rollouts = static_cast<int>(args.getInt("rollouts"));
+    const int rollouts = intOptionInRange(args, "rollouts", 1);
+    const int n_basis = intOptionInRange(args, "basis", 2);
 
     // ---- Demonstration (outside the ROI) ----
     std::vector<std::vector<double>> demo =
         makeDemoTrajectory(demo_samples, dt);
 
     DmpConfig config;
-    config.n_basis = static_cast<int>(args.getInt("basis"));
+    config.n_basis = n_basis;
     DmpND dmp(2, config);
 
     // ---- Fit + repeated rollout (the ROI) ----

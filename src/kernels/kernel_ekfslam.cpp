@@ -5,7 +5,6 @@
 
 #include "geom/angle.h"
 #include "perception/ekf_slam.h"
-#include "util/logging.h"
 #include "util/roi.h"
 #include "util/stopwatch.h"
 
@@ -26,14 +25,8 @@ KernelReport
 EkfSlamKernel::run(const ArgParser &args) const
 {
     KernelReport report;
-    const std::int64_t landmarks_arg = args.getInt("landmarks");
-    if (landmarks_arg < 1)
-        fatal("--landmarks must be >= 1, got ", landmarks_arg);
-    const std::int64_t steps_arg = args.getInt("steps");
-    if (steps_arg < 1)
-        fatal("--steps must be >= 1, got ", steps_arg);
-    const int n_landmarks = static_cast<int>(landmarks_arg);
-    const int steps = static_cast<int>(steps_arg);
+    const int n_landmarks = intOptionInRange(args, "landmarks", 1);
+    const int steps = intOptionInRange(args, "steps", 1);
     const double dt = args.getDouble("dt");
     const double v = args.getDouble("velocity");
     const double omega = args.getDouble("omega");

@@ -30,11 +30,10 @@ MpcKernel::run(const ArgParser &args) const
 
     // ---- Reference generation (outside the ROI) ----
     std::vector<Vec2> reference = makeReferenceTrajectory(
-        static_cast<int>(args.getInt("ref-points")),
-        args.getDouble("spacing"));
+        intOptionInRange(args, "ref-points", 2), args.getDouble("spacing"));
 
     MpcConfig config;
-    config.horizon = static_cast<int>(args.getInt("horizon"));
+    config.horizon = intOptionInRange(args, "horizon", 1);
     config.opt_iterations =
         static_cast<int>(args.getInt("opt-iterations"));
     config.v_max = args.getDouble("v-max");

@@ -81,18 +81,18 @@ PflKernel::run(const ArgParser &args) const
     KernelReport report;
     applyThreadsOption(args);
     const auto n_particles =
-        static_cast<std::size_t>(args.getInt("particles"));
-    const int n_beams = static_cast<int>(args.getInt("beams"));
-    const int steps = static_cast<int>(args.getInt("steps"));
-    const int region = static_cast<int>(args.getInt("region"));
+        static_cast<std::size_t>(intOptionInRange(args, "particles", 1));
+    const int n_beams = intOptionInRange(args, "beams", 1);
+    const int steps = intOptionInRange(args, "steps", 1);
+    const int region = intOptionInRange(args, "region", 0, 4);
+    const int map_width = intOptionInRange(args, "map-width", 40);
+    const int map_height = intOptionInRange(args, "map-height", 40);
     const double max_range = args.getDouble("max-range");
     const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
 
     // ---- Input generation (outside the ROI) ----
-    OccupancyGrid2D map = makeIndoorMap(
-        static_cast<int>(args.getInt("map-width")),
-        static_cast<int>(args.getInt("map-height")),
-        args.getDouble("resolution"), seed);
+    OccupancyGrid2D map = makeIndoorMap(map_width, map_height,
+                                        args.getDouble("resolution"), seed);
     Rng world_rng(seed * 7919 + 17);
     std::vector<Pose2> truth =
         makeTruePath(map, region, steps, 0.3, world_rng);

@@ -21,7 +21,6 @@ SrecKernel::addOptions(ArgParser &parser) const
     parser.addOption("icp-iterations", "25", "Max ICP iterations/frame");
     parser.addOption("seed", "1", "Random seed");
     addThreadsOption(parser);
-    addSimdOption(parser);
     addNnOption(parser);
 }
 
@@ -30,11 +29,7 @@ SrecKernel::run(const ArgParser &args) const
 {
     KernelReport report;
     applyThreadsOption(args);
-    applySimdOption(args);
-    const std::int64_t frames_arg = args.getInt("frames");
-    if (frames_arg < 2)
-        fatal("--frames must be >= 2, got ", frames_arg);
-    const int frames = static_cast<int>(frames_arg);
+    const int frames = intOptionInRange(args, "frames", 2);
     const double voxel = args.getDouble("voxel");
     if (!std::isfinite(voxel) || voxel <= 0.0)
         fatal("--voxel must be a finite number > 0, got '",

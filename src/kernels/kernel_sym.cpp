@@ -76,11 +76,8 @@ SymBlkwKernel::addOptions(ArgParser &parser) const
 KernelReport
 SymBlkwKernel::run(const ArgParser &args) const
 {
-    std::int64_t blocks = args.getInt("blocks");
-    if (blocks < 2)
-        fatal("--blocks must be >= 2, got ", blocks);
     SymbolicProblem problem =
-        makeBlocksWorld(static_cast<int>(blocks),
+        makeBlocksWorld(intOptionInRange(args, "blocks", 2),
                         static_cast<std::uint64_t>(args.getInt("seed")));
     return runSymbolic(problem, args);
 }
@@ -98,10 +95,8 @@ SymFextKernel::addOptions(ArgParser &parser) const
 KernelReport
 SymFextKernel::run(const ArgParser &args) const
 {
-    std::int64_t waypoints = args.getInt("waypoints");
-    if (waypoints < 2)
-        fatal("--waypoints must be >= 2, got ", waypoints);
-    SymbolicProblem problem = makeFirefight(static_cast<int>(waypoints));
+    SymbolicProblem problem =
+        makeFirefight(intOptionInRange(args, "waypoints", 2));
     return runSymbolic(problem, args);
 }
 

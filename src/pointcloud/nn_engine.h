@@ -21,6 +21,7 @@
 #define RTR_POINTCLOUD_NN_ENGINE_H
 
 #include <cstdlib>
+#include <iostream>
 #include <string_view>
 
 namespace rtr {
@@ -55,21 +56,29 @@ parseNnEngine(std::string_view name, NnEngine &out)
 }
 
 /**
- * Process-wide default engine: bucket, unless RTR_NN_ENGINE=node is set
- * in the environment (read once). Config structs capture this default
- * at construction; explicit --nn flags override it per kernel run.
+ * Process-wide default engine: bucket, unless RTR_NN_ENGINE overrides
+ * (read once; empty = unset). A value that is not an engine name exits
+ * with status 2, like RTR_SEARCH: a silently ignored typo would re-test
+ * the default engine. Config structs capture this default at
+ * construction; explicit --nn flags override it per kernel run.
  */
 inline NnEngine
 defaultNnEngine()
 {
-    static const NnEngine def = [] {
+    static const NnEngine engine = [] {
         const char *env = std::getenv("RTR_NN_ENGINE");
-        NnEngine parsed = NnEngine::Bucket;
-        if (env)
-            parseNnEngine(env, parsed);
+        if (env == nullptr || *env == '\0')
+            return NnEngine::Bucket;
+        NnEngine parsed;
+        if (!parseNnEngine(env, parsed)) {
+            std::cerr << "RTR_NN_ENGINE=" << env
+                      << " is not a nearest-neighbor engine (expected "
+                         "bucket or node)\n";
+            std::exit(2);
+        }
         return parsed;
     }();
-    return def;
+    return engine;
 }
 
 } // namespace rtr

@@ -22,6 +22,7 @@
 #define RTR_UTIL_BATCH_ENGINE_H
 
 #include <cstdlib>
+#include <iostream>
 #include <string_view>
 
 namespace rtr {
@@ -56,37 +57,43 @@ parseBatchEngine(std::string_view name, BatchEngine &out)
 }
 
 /**
- * Process-wide default engine: soa, unless RTR_BATCH_ENGINE=scalar is
- * set in the environment (read once). Config structs capture this
- * default at construction; explicit --batch flags override it per run.
+ * Process-wide default engine: soa, unless RTR_BATCH_ENGINE overrides
+ * (read once; empty = unset). A value that is not an engine name exits
+ * with status 2, like RTR_SEARCH: a silently ignored typo would re-test
+ * the default engine. Config structs capture this default at
+ * construction; explicit --batch flags override it per run.
  */
 inline BatchEngine
 defaultBatchEngine()
 {
-    static const BatchEngine def = [] {
+    static const BatchEngine engine = [] {
         const char *env = std::getenv("RTR_BATCH_ENGINE");
-        BatchEngine parsed = BatchEngine::Soa;
-        if (env)
-            parseBatchEngine(env, parsed);
+        if (env == nullptr || *env == '\0')
+            return BatchEngine::Soa;
+        BatchEngine parsed;
+        if (!parseBatchEngine(env, parsed)) {
+            std::cerr << "RTR_BATCH_ENGINE=" << env
+                      << " is not a batch engine (expected soa or "
+                         "scalar)\n";
+            std::exit(2);
+        }
         return parsed;
     }();
-    return def;
+    return engine;
 }
 
 /**
- * Whether RTR_BATCH_ENGINE names a valid engine — i.e. the user asked
- * for one engine *everywhere*. Per-phase defaults (see
- * defaultPflWeightEngine) yield to this, exactly like an explicit
- * --batch flag, so the check.sh batch-scalar leg and A/B runs still
- * pin every phase to one engine.
+ * Whether RTR_BATCH_ENGINE is set — i.e. the user asked for one engine
+ * *everywhere*. Per-phase defaults (see defaultPflWeightEngine) yield
+ * to this, exactly like an explicit --batch flag, so the check.sh
+ * batch-scalar leg and A/B runs still pin every phase to one engine.
  */
 inline bool
 batchEngineOverridden()
 {
     static const bool overridden = [] {
         const char *env = std::getenv("RTR_BATCH_ENGINE");
-        BatchEngine parsed = BatchEngine::Soa;
-        return env != nullptr && parseBatchEngine(env, parsed);
+        return env != nullptr && *env != '\0';
     }();
     return overridden;
 }

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "arm/planar_arm.h"
 #include "arm/workspace.h"
@@ -15,7 +17,9 @@
 #include "grid/map_io.h"
 #include "kernels/registry.h"
 #include "linalg/decomp.h"
+#include "pointcloud/nn_engine.h"
 #include "util/args.h"
+#include "util/batch_engine.h"
 #include "util/stats.h"
 
 namespace rtr {
@@ -142,6 +146,86 @@ TEST(FailuresDeathTest, SrecBadFramesOrVoxelIsFatal)
                     "--voxel must be a finite number > 0")
             << "--voxel " << voxel;
     }
+}
+
+/**
+ * pfl's size flags: --steps 0 used to crash (rc 139), --region outside
+ * 0-4 to hang, and --particles 0 / --beams 0 to trip an RTR_ASSERT.
+ */
+TEST(FailuresDeathTest, PflBadFlagsAreFatal)
+{
+    auto kernel = makeKernel("pfl");
+    for (const char *flag : {"--steps", "--particles", "--beams"}) {
+        for (const char *value : {"0", "-3"}) {
+            EXPECT_EXIT(kernel->runWithDefaults({flag, value}),
+                        ::testing::ExitedWithCode(1),
+                        std::string(flag) + " must be >= 1")
+                << flag << " " << value;
+        }
+    }
+    EXPECT_EXIT(kernel->runWithDefaults({"--region", "9"}),
+                ::testing::ExitedWithCode(1), "--region must be <= 4");
+    EXPECT_EXIT(kernel->runWithDefaults({"--region", "-1"}),
+                ::testing::ExitedWithCode(1), "--region must be >= 0");
+    EXPECT_EXIT(kernel->runWithDefaults({"--map-width", "0"}),
+                ::testing::ExitedWithCode(1), "--map-width must be >= 40");
+}
+
+/**
+ * The control kernels' size flags: mpc --ref-points 0, bo --candidates
+ * 0 and dmp --rollouts 0 used to crash (rc 139); the others tripped an
+ * RTR_ASSERT.
+ */
+TEST(FailuresDeathTest, ControlKernelBadFlagsAreFatal)
+{
+    struct Case
+    {
+        const char *kernel, *flag, *value, *message;
+    };
+    for (const Case &c : {
+             Case{"mpc", "--ref-points", "0", "--ref-points must be >= 2"},
+             Case{"mpc", "--ref-points", "1", "--ref-points must be >= 2"},
+             Case{"mpc", "--horizon", "0", "--horizon must be >= 1"},
+             Case{"bo", "--candidates", "0", "--candidates must be >= 1"},
+             Case{"bo", "--iterations", "0", "--iterations must be >= 1"},
+             Case{"dmp", "--rollouts", "0", "--rollouts must be >= 1"},
+             Case{"dmp", "--demo-samples", "2",
+                  "--demo-samples must be >= 3"},
+             Case{"dmp", "--basis", "1", "--basis must be >= 2"},
+         }) {
+        EXPECT_EXIT(makeKernel(c.kernel)->runWithDefaults({c.flag, c.value}),
+                    ::testing::ExitedWithCode(1), c.message)
+            << c.kernel << " " << c.flag << " " << c.value;
+    }
+}
+
+/**
+ * A typo in RTR_NN_ENGINE or RTR_BATCH_ENGINE would silently re-test
+ * the default engine, so it exits 2; an empty value means unset. The
+ * threadsafe style runs each statement in a freshly started process,
+ * where the once-read default has not been cached yet.
+ */
+TEST(FailuresDeathTest, EngineEnvTypoExitsTwo)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT((setenv("RTR_NN_ENGINE", "nodes", 1), defaultNnEngine()),
+                ::testing::ExitedWithCode(2),
+                "RTR_NN_ENGINE=nodes is not a nearest-neighbor engine");
+    EXPECT_EXIT(
+        (setenv("RTR_BATCH_ENGINE", "sclar", 1), defaultBatchEngine()),
+        ::testing::ExitedWithCode(2),
+        "RTR_BATCH_ENGINE=sclar is not a batch engine");
+    EXPECT_EXIT(
+        {
+            setenv("RTR_NN_ENGINE", "", 1);
+            setenv("RTR_BATCH_ENGINE", "", 1);
+            std::exit(defaultNnEngine() == NnEngine::Bucket &&
+                              defaultBatchEngine() == BatchEngine::Soa &&
+                              !batchEngineOverridden()
+                          ? 0
+                          : 3);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(FailuresDeathTest, QuantileOfEmptySetPanics)
