@@ -366,7 +366,7 @@ choleskyFlagged(benchmark::State &state, bool simd)
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < n; ++c)
             a(r, c) = rng.uniform(-1, 1);
-    Matrix spd = multiplyTransposed(a, a);
+    Matrix spd = a * a.transposed();
     for (std::size_t i = 0; i < n; ++i)
         spd(i, i) += static_cast<double>(n);
     Matrix rhs(n, 1);
@@ -704,7 +704,7 @@ writeGemmBaseline(const std::string &path)
     for (std::size_t n : {8u, 16u, 35u, 50u, 96u}) {
         Matrix g(n, n);
         fillRandom(g, rng);
-        Matrix spd = multiplyTransposed(g, g);
+        Matrix spd = g * g.transposed();
         for (std::size_t i = 0; i < n; ++i)
             spd(i, i) += static_cast<double>(n);
         Matrix rhs(n, 1);

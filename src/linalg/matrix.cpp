@@ -26,35 +26,6 @@ constexpr std::size_t kNR = 2 * kW;
 
 bool g_simd_enabled = std::getenv("RTR_LINALG_SCALAR") == nullptr;
 
-// Per-element epilogue c = alpha*acc + beta*c. The special cases pin
-// the exact operation sequence of the two hot configurations: plain
-// product (beta == 0, store) and accumulate (alpha == beta == 1,
-// c + acc). With beta == 0 the old value is never used, so C may hold
-// NaN or garbage without poisoning the result. combineVec must mirror
-// this ladder exactly — the bitwise-identity contract is per element.
-inline double
-combineScalar(double acc, double cold, double alpha, double beta)
-{
-    if (beta == 0.0)
-        return alpha == 1.0 ? acc : alpha * acc;
-    if (alpha == 1.0 && beta == 1.0)
-        return cold + acc;
-    double scaled_acc = alpha * acc;
-    double scaled_old = beta * cold;
-    return scaled_acc + scaled_old;
-}
-
-inline VecD
-combineVec(VecD acc, const double *cp, double alpha, double beta)
-{
-    if (beta == 0.0)
-        return alpha == 1.0 ? acc : VecD::broadcast(alpha) * acc;
-    const VecD cold = VecD::load(cp);
-    if (alpha == 1.0 && beta == 1.0)
-        return cold + acc;
-    return VecD::broadcast(alpha) * acc + VecD::broadcast(beta) * cold;
-}
-
 /**
  * Full register tile: Rows x kNR outputs. Accumulates over k in
  * ascending order with one multiply and one add per element per step
@@ -64,8 +35,7 @@ combineVec(VecD acc, const double *cp, double alpha, double beta)
 template <int Rows>
 inline void
 tileFull(const double *a, std::size_t lda, const double *b, std::size_t ldb,
-         double *c, std::size_t ldc, std::size_t kdim, double alpha,
-         double beta)
+         double *c, std::size_t ldc, std::size_t kdim)
 {
     VecD acc0[Rows], acc1[Rows];
     for (int r = 0; r < Rows; ++r) {
@@ -84,8 +54,8 @@ tileFull(const double *a, std::size_t lda, const double *b, std::size_t ldb,
     }
     for (int r = 0; r < Rows; ++r) {
         double *cp = c + r * ldc;
-        combineVec(acc0[r], cp, alpha, beta).store(cp);
-        combineVec(acc1[r], cp + kW, alpha, beta).store(cp + kW);
+        acc0[r].store(cp);
+        acc1[r].store(cp + kW);
     }
 }
 
@@ -97,8 +67,7 @@ tileFull(const double *a, std::size_t lda, const double *b, std::size_t ldb,
 template <int Rows>
 inline void
 tilePartial(const double *a, std::size_t lda, const double *b, double *c,
-            std::size_t ldc, std::size_t kdim, std::size_t ncols,
-            double alpha, double beta)
+            std::size_t ldc, std::size_t kdim, std::size_t ncols)
 {
     VecD acc0[Rows], acc1[Rows];
     for (int r = 0; r < Rows; ++r) {
@@ -119,143 +88,72 @@ tilePartial(const double *a, std::size_t lda, const double *b, double *c,
     for (int r = 0; r < Rows; ++r) {
         acc0[r].store(tmp);
         acc1[r].store(tmp + kW);
-        double *cp = c + r * ldc;
-        for (std::size_t j = 0; j < ncols; ++j)
-            cp[j] = combineScalar(tmp[j], cp[j], alpha, beta);
+        std::copy(tmp, tmp + ncols, c + r * ldc);
     }
 }
 
 /**
- * Blocked SIMD GEMM driver: C = alpha*op(B-product) + beta*C where the
- * product is A*B (b_transposed == false) or A*Bᵀ (true). Strided Bᵀ
- * panels and right-edge partial panels are packed into a zero-padded
- * thread-local scratch so the micro-kernel always sees contiguous,
- * full-width rows.
+ * Blocked SIMD GEMM driver: C = A*B, with A m x kdim, B kdim x n and
+ * C m x n, all row-major and contiguous. Right-edge partial panels of
+ * B are packed into a zero-padded thread-local scratch so the
+ * micro-kernel always sees contiguous, full-width rows.
  */
 void
 gemmSimd(std::size_t m, std::size_t kdim, std::size_t n, const double *a,
-         std::size_t lda, const double *b, std::size_t ldb,
-         bool b_transposed, double *c, std::size_t ldc, double alpha,
-         double beta)
+         const double *b, double *c)
 {
     thread_local std::vector<double> pack;
     for (std::size_t j0 = 0; j0 < n; j0 += kNR) {
         const std::size_t nr = std::min(kNR, n - j0);
         const double *bp = b + j0;
-        std::size_t bld = ldb;
-        if (b_transposed || nr < kNR) {
+        std::size_t bld = n;
+        if (nr < kNR) {
             pack.assign(kNR * std::max<std::size_t>(kdim, 1), 0.0);
-            if (b_transposed) {
-                for (std::size_t jj = 0; jj < nr; ++jj) {
-                    const double *brow = b + (j0 + jj) * ldb;
-                    for (std::size_t k = 0; k < kdim; ++k)
-                        pack[k * kNR + jj] = brow[k];
-                }
-            } else {
-                for (std::size_t k = 0; k < kdim; ++k) {
-                    const double *brow = b + k * ldb + j0;
-                    for (std::size_t jj = 0; jj < nr; ++jj)
-                        pack[k * kNR + jj] = brow[jj];
-                }
+            for (std::size_t k = 0; k < kdim; ++k) {
+                const double *brow = b + k * n + j0;
+                for (std::size_t jj = 0; jj < nr; ++jj)
+                    pack[k * kNR + jj] = brow[jj];
             }
             bp = pack.data();
             bld = kNR;
         }
         for (std::size_t i0 = 0; i0 < m; i0 += kMR) {
             const std::size_t mr = std::min(kMR, m - i0);
-            const double *ap = a + i0 * lda;
-            double *cp = c + i0 * ldc + j0;
+            const double *ap = a + i0 * kdim;
+            double *cp = c + i0 * n + j0;
             if (nr == kNR) {
                 switch (mr) {
                 case 4:
-                    tileFull<4>(ap, lda, bp, bld, cp, ldc, kdim, alpha, beta);
+                    tileFull<4>(ap, kdim, bp, bld, cp, n, kdim);
                     break;
                 case 3:
-                    tileFull<3>(ap, lda, bp, bld, cp, ldc, kdim, alpha, beta);
+                    tileFull<3>(ap, kdim, bp, bld, cp, n, kdim);
                     break;
                 case 2:
-                    tileFull<2>(ap, lda, bp, bld, cp, ldc, kdim, alpha, beta);
+                    tileFull<2>(ap, kdim, bp, bld, cp, n, kdim);
                     break;
                 default:
-                    tileFull<1>(ap, lda, bp, bld, cp, ldc, kdim, alpha, beta);
+                    tileFull<1>(ap, kdim, bp, bld, cp, n, kdim);
                     break;
                 }
             } else {
                 switch (mr) {
                 case 4:
-                    tilePartial<4>(ap, lda, bp, cp, ldc, kdim, nr, alpha,
-                                   beta);
+                    tilePartial<4>(ap, kdim, bp, cp, n, kdim, nr);
                     break;
                 case 3:
-                    tilePartial<3>(ap, lda, bp, cp, ldc, kdim, nr, alpha,
-                                   beta);
+                    tilePartial<3>(ap, kdim, bp, cp, n, kdim, nr);
                     break;
                 case 2:
-                    tilePartial<2>(ap, lda, bp, cp, ldc, kdim, nr, alpha,
-                                   beta);
+                    tilePartial<2>(ap, kdim, bp, cp, n, kdim, nr);
                     break;
                 default:
-                    tilePartial<1>(ap, lda, bp, cp, ldc, kdim, nr, alpha,
-                                   beta);
+                    tilePartial<1>(ap, kdim, bp, cp, n, kdim, nr);
                     break;
                 }
             }
         }
     }
-}
-
-/**
- * Scalar reference for the GEMM family: the historical i-k-j loop with
- * a row accumulator, followed by the same per-element epilogue as the
- * SIMD path. src/linalg is compiled with -ffp-contract=off, so the
- * compiler cannot fuse the multiply-add here and break the bitwise
- * contract against the explicit-intrinsic path.
- */
-void
-gemmScalar(std::size_t m, std::size_t kdim, std::size_t n, const double *a,
-           std::size_t lda, const double *b, std::size_t ldb,
-           bool b_transposed, double *c, std::size_t ldc, double alpha,
-           double beta)
-{
-    thread_local std::vector<double> rowacc;
-    rowacc.assign(n, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-        std::fill(rowacc.begin(), rowacc.end(), 0.0);
-        for (std::size_t k = 0; k < kdim; ++k) {
-            const double av = a[i * lda + k];
-            if (b_transposed) {
-                for (std::size_t j = 0; j < n; ++j)
-                    rowacc[j] += av * b[j * ldb + k];
-            } else {
-                const double *brow = b + k * ldb;
-                for (std::size_t j = 0; j < n; ++j)
-                    rowacc[j] += av * brow[j];
-            }
-        }
-        double *crow = c + i * ldc;
-        for (std::size_t j = 0; j < n; ++j)
-            crow[j] = combineScalar(rowacc[j], crow[j], alpha, beta);
-    }
-}
-
-void
-gemmDispatch(std::size_t m, std::size_t kdim, std::size_t n, const double *a,
-             std::size_t lda, const double *b, std::size_t ldb,
-             bool b_transposed, double *c, std::size_t ldc, double alpha,
-             double beta)
-{
-    if (g_simd_enabled)
-        gemmSimd(m, kdim, n, a, lda, b, ldb, b_transposed, c, ldc, alpha,
-                 beta);
-    else
-        gemmScalar(m, kdim, n, a, lda, b, ldb, b_transposed, c, ldc, alpha,
-                   beta);
-}
-
-inline bool
-sameBuffer(const Matrix &x, const Matrix &y)
-{
-    return x.data() != nullptr && x.data() == y.data();
 }
 
 } // namespace
@@ -369,15 +267,11 @@ Matrix::operator*(const Matrix &o) const
 {
     RTR_ASSERT(cols_ == o.rows_, "matmul shape mismatch: ", rows_, "x",
                cols_, " * ", o.rows_, "x", o.cols_);
+    if (!g_simd_enabled)
+        return multiplyScalar(o);
     Matrix out(rows_, o.cols_);
-    if (g_simd_enabled)
-        gemmSimd(rows_, cols_, o.cols_, data_.data(), cols_,
-                 o.data_.data(), o.cols_, false, out.data_.data(), o.cols_,
-                 1.0, 0.0);
-    else
-        gemmScalar(rows_, cols_, o.cols_, data_.data(), cols_,
-                   o.data_.data(), o.cols_, false, out.data_.data(),
-                   o.cols_, 1.0, 0.0);
+    gemmSimd(rows_, cols_, o.cols_, data_.data(), o.data_.data(),
+             out.data_.data());
     return out;
 }
 
@@ -526,47 +420,6 @@ Matrix
 operator*(double s, const Matrix &m)
 {
     return m * s;
-}
-
-void
-gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha, double beta)
-{
-    RTR_ASSERT(a.cols() == b.rows(), "gemm shape mismatch: ", a.rows(), "x",
-               a.cols(), " * ", b.rows(), "x", b.cols());
-    RTR_ASSERT(!sameBuffer(c, a) && !sameBuffer(c, b),
-               "gemm output aliases an input");
-    if (beta == 0.0) {
-        if (c.rows() != a.rows() || c.cols() != b.cols())
-            c.resize(a.rows(), b.cols());
-    } else {
-        RTR_ASSERT(c.rows() == a.rows() && c.cols() == b.cols(),
-                   "gemm accumulate shape mismatch: C is ", c.rows(), "x",
-                   c.cols(), ", product is ", a.rows(), "x", b.cols());
-    }
-    gemmDispatch(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), b.data(),
-                 b.cols(), false, c.data(), c.cols(), alpha, beta);
-}
-
-void
-multiplyTransposed(const Matrix &a, const Matrix &b, Matrix &out)
-{
-    RTR_ASSERT(a.cols() == b.cols(),
-               "multiplyTransposed shape mismatch: ", a.rows(), "x",
-               a.cols(), " * (", b.rows(), "x", b.cols(), ")^T");
-    RTR_ASSERT(!sameBuffer(out, a) && !sameBuffer(out, b),
-               "multiplyTransposed output aliases an input");
-    if (out.rows() != a.rows() || out.cols() != b.rows())
-        out.resize(a.rows(), b.rows());
-    gemmDispatch(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), b.data(),
-                 b.cols(), true, out.data(), out.cols(), 1.0, 0.0);
-}
-
-Matrix
-multiplyTransposed(const Matrix &a, const Matrix &b)
-{
-    Matrix out;
-    multiplyTransposed(a, b, out);
-    return out;
 }
 
 } // namespace rtr

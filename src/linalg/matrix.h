@@ -50,7 +50,7 @@ class Matrix
     /**
      * Reshape to rows x cols and zero-fill. Reuses the existing heap
      * allocation when capacity suffices — this is the workspace-reuse
-     * primitive behind the no-temporary entry points below.
+     * primitive behind solveInto() and the GP's thread-local buffers.
      */
     void resize(std::size_t rows, std::size_t cols);
 
@@ -114,7 +114,7 @@ Matrix operator*(double s, const Matrix &m);
 
 /**
  * Runtime dispatch between the SIMD micro-kernels and the preserved
- * scalar reference paths for everything in linalg (GEMM family,
+ * scalar reference paths for everything in linalg (matrix product,
  * Cholesky/LU factor + solve). Defaults to enabled; set the environment
  * variable RTR_LINALG_SCALAR (any value) to start disabled. The two
  * paths are bitwise identical by contract, so flipping this mid-run
@@ -139,28 +139,6 @@ class ScopedSimdKernels
   private:
     bool prev_;
 };
-
-/**
- * Fused no-temporary entry points. All of them trap (RTR_ASSERT, which
- * is active in release builds) when an output matrix aliases an input —
- * the blocked kernels would silently corrupt otherwise.
- *
- * gemm: C = alpha*A*B + beta*C. With beta == 0, C is never read (so it
- * may hold NaN/garbage) and is reshaped to A.rows x B.cols; otherwise
- * its shape must already match.
- */
-void gemm(const Matrix &a, const Matrix &b, Matrix &c, double alpha,
-          double beta);
-
-/**
- * out = A * Bᵀ without materialising the transpose. A is m x k, B is
- * n x k, out becomes m x n. Bitwise identical to
- * a.multiplyScalar(b.transposed()).
- */
-void multiplyTransposed(const Matrix &a, const Matrix &b, Matrix &out);
-
-/** Convenience allocating form of the above. */
-Matrix multiplyTransposed(const Matrix &a, const Matrix &b);
 
 } // namespace rtr
 

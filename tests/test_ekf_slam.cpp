@@ -146,7 +146,7 @@ TEST(EkfSlam, ProfilerAttributesMatrixOps)
  * The dense update EkfSlam::update ran before it worked on H's non-zero
  * columns alone: H materialised as 2 x n, S = (H Σ) Hᵀ + Q,
  * K = (Σ Hᵀ) S⁻¹ through LU, μ += K ν and Σ -= (K H) Σ, every product
- * through the linalg GEMM entry points. Kept as the bitwise oracle for
+ * through Matrix::operator*. Kept as the bitwise oracle for
  * the column-sparse update; landmark initialization is copied too so
  * the oracle can run the same observation batches.
  */
@@ -161,7 +161,7 @@ struct DenseEkfOracle
     update(const std::vector<RangeBearing> &observations,
            const EkfNoise &noise)
     {
-        Matrix h, hp, s, pht, k, innovation, kh, sigma_tmp;
+        Matrix h, innovation;
         for (const RangeBearing &obs : observations) {
             const auto id = static_cast<std::size_t>(obs.landmark_id);
             if (slot[id] < 0) {
@@ -207,23 +207,19 @@ struct DenseEkfOracle
             h(1, li) = -dy / q;
             h(1, li + 1) = dx / q;
 
-            gemm(h, sigma, hp, 1.0, 0.0);
-            multiplyTransposed(hp, h, s);
+            const Matrix ht = h.transposed();
+            Matrix s = (h * sigma) * ht;
             s(0, 0) += noise.range * noise.range;
             s(1, 1) += noise.bearing * noise.bearing;
-            multiplyTransposed(sigma, h, pht);
-            Matrix s_inv = inverse(s);
-            gemm(pht, s_inv, k, 1.0, 0.0);
+            const Matrix k = (sigma * ht) * inverse(s);
 
             innovation.resize(2, 1);
             innovation(0, 0) = obs.range - expected_range;
             innovation(1, 0) =
                 normalizeAngle(obs.bearing - expected_bearing);
-            gemm(k, innovation, mu, 1.0, 1.0);
+            mu += k * innovation;
             mu(2, 0) = normalizeAngle(mu(2, 0));
-            gemm(k, h, kh, 1.0, 0.0);
-            gemm(kh, sigma, sigma_tmp, 1.0, 0.0);
-            sigma -= sigma_tmp;
+            sigma -= (k * h) * sigma;
         }
     }
 

@@ -3,11 +3,11 @@
  * Property suite for the SIMD dense-linalg micro-kernels.
  *
  * The contract (DESIGN.md "Dense linear algebra"): the SIMD paths of
- * the GEMM family and the Cholesky/LU factor+solve are BITWISE
+ * the matrix product and the Cholesky/LU factor+solve are BITWISE
  * identical to the preserved scalar reference paths, for every shape —
  * including sizes that are not multiples of the vector width. These
  * tests sweep sizes 1..17, compare with memcmp (not a tolerance), and
- * additionally pin the aliasing traps and IEEE NaN/Inf propagation.
+ * additionally pin IEEE NaN/Inf propagation.
  *
  * Both dispatch paths run in-process via the runtime flag
  * (ScopedSimdKernels); under -DRTR_FORCE_SCALAR_SIMD=ON both paths
@@ -51,7 +51,7 @@ Matrix
 randomSpd(std::size_t n, std::mt19937 &rng)
 {
     Matrix a = randomMatrix(n, n, rng);
-    Matrix spd = multiplyTransposed(a, a);
+    Matrix spd = a * a.transposed();
     for (std::size_t i = 0; i < n; ++i)
         spd(i, i) += static_cast<double>(n);
     return spd;
@@ -96,53 +96,6 @@ TEST(LinalgSimd, MultiplyBitwiseMatchesScalarAcrossSizes)
                 ASSERT_TRUE(bitwiseEqual(ref, simd))
                     << "simd product differs at " << m << "x" << k << "x"
                     << n;
-            }
-        }
-    }
-}
-
-TEST(LinalgSimd, GemmAlphaBetaBitwiseMatchesScalar)
-{
-    std::mt19937 rng(11);
-    for (std::size_t n = 1; n <= 17; n += 2) {
-        for (double alpha : {1.0, 0.75}) {
-            for (double beta : {0.0, 1.0, -0.5}) {
-                Matrix a = randomMatrix(n, n + 1, rng);
-                Matrix b = randomMatrix(n + 1, n + 2, rng);
-                Matrix c0 = randomMatrix(n, n + 2, rng);
-
-                Matrix c_scalar = c0;
-                {
-                    ScopedSimdKernels off(false);
-                    gemm(a, b, c_scalar, alpha, beta);
-                }
-                Matrix c_simd = c0;
-                {
-                    ScopedSimdKernels on(true);
-                    gemm(a, b, c_simd, alpha, beta);
-                }
-                ASSERT_TRUE(bitwiseEqual(c_scalar, c_simd))
-                    << "gemm differs at n=" << n << " alpha=" << alpha
-                    << " beta=" << beta;
-            }
-        }
-    }
-}
-
-TEST(LinalgSimd, MultiplyTransposedBitwiseMatchesMaterializedTranspose)
-{
-    std::mt19937 rng(13);
-    for (std::size_t m = 1; m <= 17; m += 3) {
-        for (std::size_t k = 1; k <= 17; k += 2) {
-            for (std::size_t n = 1; n <= 17; n += 3) {
-                Matrix a = randomMatrix(m, k, rng);
-                Matrix b = randomMatrix(n, k, rng);
-                const Matrix ref = a.multiplyScalar(b.transposed());
-                ScopedSimdKernels on(true);
-                const Matrix fused = multiplyTransposed(a, b);
-                ASSERT_TRUE(bitwiseEqual(ref, fused))
-                    << "multiplyTransposed differs at " << m << "x" << k
-                    << "x" << n;
             }
         }
     }
@@ -239,22 +192,6 @@ TEST(LinalgSimd, LuSolveAndInverseBitwiseAcrossSizes)
     }
 }
 
-TEST(LinalgSimdDeathTest, GemmOutputAliasingInputTraps)
-{
-    Matrix a = Matrix::identity(4);
-    Matrix b = Matrix::identity(4);
-    EXPECT_DEATH(gemm(a, b, a, 1.0, 0.0), "aliases");
-    EXPECT_DEATH(gemm(a, b, b, 1.0, 1.0), "aliases");
-}
-
-TEST(LinalgSimdDeathTest, MultiplyTransposedAliasingTraps)
-{
-    Matrix a = Matrix::identity(4);
-    Matrix b = Matrix::identity(4);
-    EXPECT_DEATH(multiplyTransposed(a, b, a), "aliases");
-    EXPECT_DEATH(multiplyTransposed(a, b, b), "aliases");
-}
-
 TEST(LinalgSimd, NanPropagatesThroughZeroWeightedRows)
 {
     // The seed's zero-skip branch turned 0 * NaN into 0. IEEE says NaN;
@@ -288,23 +225,6 @@ TEST(LinalgSimd, InfAndNanPropagationBitwiseAgrees)
         ASSERT_TRUE(bitwiseEqual(ref, simd)) << "NaN/Inf differs n=" << n;
         EXPECT_TRUE(std::isnan(simd(n - 1, 0)));
     }
-}
-
-TEST(LinalgSimd, GemmBetaZeroNeverReadsPoisonedOutput)
-{
-    // With beta == 0, C's prior contents (even NaN) must not leak.
-    Matrix a = Matrix::identity(5);
-    Matrix b = Matrix::constant(5, 5, 2.0);
-    Matrix c = Matrix::constant(5, 5,
-                                std::numeric_limits<double>::quiet_NaN());
-    ScopedSimdKernels on(true);
-    gemm(a, b, c, 1.0, 0.0);
-    EXPECT_TRUE(c.approxEquals(b, 0.0));
-    Matrix c2 = Matrix::constant(5, 5,
-                                 std::numeric_limits<double>::quiet_NaN());
-    ScopedSimdKernels off(false);
-    gemm(a, b, c2, 1.0, 0.0);
-    EXPECT_TRUE(c2.approxEquals(b, 0.0));
 }
 
 TEST(LinalgSimd, EmptyAndDegenerateShapes)
