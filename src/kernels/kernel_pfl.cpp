@@ -166,9 +166,8 @@ PflKernel::run(const ArgParser &args) const
         castScanCounted(map, estimate.position(),
                         estimate.theta + scans[0].start_angle,
                         scans[0].fov, n_beams, max_range, ranges, stats);
-        const double rays = static_cast<double>(n_beams > 0 ? n_beams : 1);
         report.metrics["probes_per_ray_scalar"] =
-            static_cast<double>(stats.probes) / rays;
+            static_cast<double>(stats.probes) / n_beams;
     }
     report.series["spread"] = std::move(spread_series);
     return report;

@@ -149,8 +149,10 @@ TEST(FailuresDeathTest, SrecBadFramesOrVoxelIsFatal)
 }
 
 /**
- * pfl's size flags: --steps 0 used to crash (rc 139), --region outside
- * 0-4 to hang, and --particles 0 / --beams 0 to trip an RTR_ASSERT.
+ * pfl's size flags die through fatal() before any input is built: with
+ * no steps there is no first scan, a start outside regions 0-4 has no
+ * free corridor to walk, and zero particles or beams break the
+ * filter's own preconditions.
  */
 TEST(FailuresDeathTest, PflBadFlagsAreFatal)
 {
@@ -172,9 +174,9 @@ TEST(FailuresDeathTest, PflBadFlagsAreFatal)
 }
 
 /**
- * The control kernels' size flags: mpc --ref-points 0, bo --candidates
- * 0 and dmp --rollouts 0 used to crash (rc 139); the others tripped an
- * RTR_ASSERT.
+ * The control kernels' size flags die through fatal() before any input
+ * is built: mpc's start heading needs two reference points, bo needs a
+ * candidate to pick, and dmp's error is measured on its last rollout.
  */
 TEST(FailuresDeathTest, ControlKernelBadFlagsAreFatal)
 {
